@@ -2,8 +2,9 @@
 //! with real (computed) kernels on a tiny Reddit stand-in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use granii_bench::runner::bind_composition;
+use granii_core::execplan::PlanInputs;
 use granii_core::{Granii, GraniiOptions};
-use granii_gnn::models::GnnLayer;
 use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
 use granii_graph::datasets::{Dataset, Scale};
@@ -24,7 +25,8 @@ fn bench_table4(c: &mut Criterion) {
             .select_with_config(ModelKind::Gcn, &graph, cfg, 1)
             .unwrap();
         layers.push((
-            GnnLayer::new(ModelKind::Gcn, cfg, 7).unwrap(),
+            cfg,
+            granii.compiled(ModelKind::Gcn, cfg).unwrap(),
             sel.composition,
         ));
     }
@@ -36,9 +38,10 @@ fn bench_table4(c: &mut Criterion) {
             let engine = Engine::cpu_measured();
             let exec = Exec::real(&engine);
             let mut h = feats.clone();
-            for (layer, comp) in &layers {
-                let prepared = layer.prepare(&exec, &ctx, *comp).unwrap();
-                h = layer.forward(&exec, &ctx, &prepared, &h, *comp).unwrap();
+            for (cfg, plan, comp) in &layers {
+                let inputs = PlanInputs::for_model(ModelKind::Gcn, *cfg, &ctx, h, 7);
+                let mut bound = bind_composition(&exec, plan, *comp, &inputs).unwrap();
+                h = bound.iterate(&exec).unwrap().clone();
             }
             h
         })

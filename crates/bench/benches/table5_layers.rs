@@ -2,9 +2,10 @@
 //! multi-layer model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use granii_bench::runner::bind_composition;
+use granii_core::execplan::PlanInputs;
 use granii_core::{Granii, GraniiOptions};
-use granii_gnn::models::Model;
-use granii_gnn::spec::ModelKind;
+use granii_gnn::spec::{LayerConfig, ModelKind};
 use granii_gnn::{Exec, GraphCtx};
 use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::{DeviceKind, Engine};
@@ -27,13 +28,28 @@ fn bench_table5(c: &mut Criterion) {
             "table5[{layers} layers] selections: {:?}",
             comps.iter().map(|c| c.name()).collect::<Vec<_>>()
         );
-        let model = Model::new(ModelKind::Gcn, &dims, 7).unwrap();
+        let plan = granii
+            .compiled(ModelKind::Gcn, LayerConfig::new(64, 64))
+            .unwrap();
         let h = DenseMatrix::random(graph.num_nodes(), 64, 1.0, 1);
+        // One parameter set per layer, seeded like a stacked model's.
+        let inputs: Vec<_> = dims
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let cfg = LayerConfig::new(w[0], w[1]);
+                PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, h.clone(), 7 + i as u64)
+            })
+            .collect();
         group.bench_with_input(BenchmarkId::new("forward", layers), &layers, |b, _| {
             b.iter(|| {
                 let engine = Engine::modeled(DeviceKind::H100);
                 let exec = Exec::virtual_only(&engine);
-                model.forward(&exec, &ctx, &h, &comps).unwrap()
+                for (inputs, &comp) in inputs.iter().zip(&comps) {
+                    let mut bound = bind_composition(&exec, &plan, comp, inputs).unwrap();
+                    bound.iterate(&exec).unwrap();
+                }
+                engine.elapsed_seconds()
             })
         });
     }

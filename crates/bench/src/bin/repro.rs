@@ -26,14 +26,14 @@ use std::collections::BTreeMap;
 use granii_bench::grid::{self, EvalConfig, Mode, Record};
 use granii_bench::policies::{self, Policy};
 use granii_bench::report::{geomean, seconds, speedup, table};
-use granii_bench::runner::{self, ITERATIONS};
+use granii_bench::runner::{self, baseline_iterate, bind_composition, ITERATIONS};
 use granii_core::complexity::complexity_table;
+use granii_core::execplan::PlanInputs;
 use granii_core::ir::{builder, rewrite};
 use granii_core::plan::CompiledModel;
 use granii_core::{Granii, GraniiOptions};
-use granii_gnn::models::GnnLayer;
 use granii_gnn::spec::{Composition, GatStrategy, LayerConfig, ModelKind, NormStrategy, OpOrder};
-use granii_gnn::system::{BaselineRunner, System};
+use granii_gnn::system::System;
 use granii_gnn::{Exec, GraphCtx};
 use granii_graph::datasets::{Dataset, Scale};
 use granii_graph::{sampling, Graph};
@@ -374,11 +374,13 @@ fn fig2(ctx: &mut ReproContext) {
         "dense".into(),
     ]];
     let mut merged: BTreeMap<DeviceKind, Profile> = BTreeMap::new();
+    let plan = CompiledModel::compile(ModelKind::Gcn, LayerConfig::new(32, 32)).expect("compile");
     for dataset in Dataset::ALL {
         let graph = ctx.graph(dataset).clone();
         for (k1, k2) in [(32, 32), (1024, 1024)] {
             for device in DeviceKind::ALL {
-                let p = runner::sparse_dense_breakdown(&graph, k1, k2, device).expect("profile");
+                let p =
+                    runner::sparse_dense_breakdown(&plan, &graph, k1, k2, device).expect("profile");
                 let f = p.sparse_fraction();
                 rows.push(vec![
                     dataset.to_string(),
@@ -547,34 +549,29 @@ fn end_to_end(
     let dims = [(feats, hidden), (hidden, classes)];
 
     let mut baseline = 0.0;
-    for (k1, k2) in dims {
-        let runner = BaselineRunner::new(system, model, LayerConfig::new(k1, k2), 7, &exec, &ctx)
-            .expect("baseline");
-        engine.take_profile();
-        let h = DenseMatrix::zeros(ctx.num_nodes(), k1).expect("alloc");
-        runner.iterate(&exec, &ctx, &h).expect("forward");
-        baseline += engine.take_profile().total_seconds();
-    }
-
-    // GRANII: decisions amortized over the usual run length; the one-time
-    // selection overhead and preparation are not part of the per-forward
-    // latency (they are reported by the `overheads` experiment), matching the
-    // paper's per-forward Table IV numbers.
     let mut optimized = 0.0;
     for (k1, k2) in dims {
         let cfg = LayerConfig::new(k1, k2);
+        let plan = granii.compiled(model, cfg).expect("compile");
+        let h = DenseMatrix::zeros(ctx.num_nodes(), k1).expect("alloc");
+        let inputs = PlanInputs::for_model(model, cfg, &ctx, h, 7);
+
+        let comp = system.default_composition(model, cfg);
+        let mut bound = bind_composition(&exec, &plan, comp, &inputs).expect("baseline");
+        engine.take_profile();
+        baseline_iterate(system, model, &exec, &ctx, &mut bound).expect("forward");
+        baseline += engine.take_profile().total_seconds();
+
+        // GRANII: decisions amortized over the usual run length; the
+        // one-time selection overhead and hoisted setup are not part of the
+        // per-forward latency (they are reported by the `overheads`
+        // experiment), matching the paper's per-forward Table IV numbers.
         let sel = granii
             .select_with_config(model, graph, cfg, granii_bench::runner::ITERATIONS)
             .expect("select");
-        let layer = GnnLayer::new(model, cfg, 7).expect("layer");
-        let prepared = layer
-            .prepare(&exec, &ctx, sel.composition)
-            .expect("prepare");
+        let mut bound = bind_composition(&exec, &plan, sel.composition, &inputs).expect("bind");
         engine.take_profile();
-        let h = DenseMatrix::zeros(ctx.num_nodes(), k1).expect("alloc");
-        layer
-            .forward(&exec, &ctx, &prepared, &h, sel.composition)
-            .expect("forward");
+        bound.iterate(&exec).expect("forward");
         optimized += engine.take_profile().total_seconds();
     }
     (baseline, optimized)
@@ -610,8 +607,10 @@ fn fig9(ctx: &mut ReproContext) {
         ),
     ] {
         println!("-- {model} ({k1},{k2}) --");
+        let cfg = LayerConfig::new(k1, k2);
+        let plan = granii.compiled(model, cfg).expect("compile");
         let full_decision = granii
-            .select_with_config(model, &graph, LayerConfig::new(k1, k2), ITERATIONS)
+            .select_with_config(model, &graph, cfg, ITERATIONS)
             .expect("select");
         println!("decision on the full graph: {}", full_decision.composition);
         let mut rows = vec![vec![
@@ -629,15 +628,13 @@ fn fig9(ctx: &mut ReproContext) {
                 let engine = Engine::modeled(device);
                 let exec = Exec::virtual_only(&engine);
                 let h = DenseMatrix::zeros(sctx.num_nodes(), k1).expect("alloc");
+                let inputs = PlanInputs::for_model(model, cfg, &sctx, h, 7);
                 let mut per = Vec::new();
                 for comp in &comps {
-                    let layer = GnnLayer::new(model, LayerConfig::new(k1, k2), 7).expect("layer");
                     engine.take_profile();
-                    let prepared = layer.prepare(&exec, &sctx, *comp).expect("prepare");
+                    let mut bound = bind_composition(&exec, &plan, *comp, &inputs).expect("bind");
                     let prep = engine.take_profile().total_seconds();
-                    layer
-                        .forward(&exec, &sctx, &prepared, &h, *comp)
-                        .expect("forward");
+                    bound.iterate(&exec).expect("forward");
                     let iter = engine.take_profile().total_seconds();
                     per.push(prep + ITERATIONS as f64 * iter);
                 }
@@ -681,39 +678,32 @@ fn table5(ctx: &mut ReproContext) {
             let engine = Engine::modeled(device);
             let exec = Exec::virtual_only(&engine);
             // Baseline: WiseGraph default per layer, per iteration.
+            // GRANII: per-layer selection (§VI-F), hoisted setup and
+            // selection overhead paid once.
             let mut base = 0.0;
-            for &(k1, k2) in &dims {
-                let runner = BaselineRunner::new(
-                    System::WiseGraph,
-                    ModelKind::Gcn,
-                    LayerConfig::new(k1, k2),
-                    7,
-                    &exec,
-                    &gctx,
-                )
-                .expect("baseline");
-                engine.take_profile();
-                let h = DenseMatrix::zeros(gctx.num_nodes(), k1).expect("alloc");
-                runner.iterate(&exec, &gctx, &h).expect("fwd");
-                base += engine.take_profile().total_seconds();
-            }
-            // GRANII: per-layer selection (§VI-F).
             let mut opt = 0.0;
             let mut once = 0.0;
             for &(k1, k2) in &dims {
                 let cfg = LayerConfig::new(k1, k2);
+                let plan = granii.compiled(ModelKind::Gcn, cfg).expect("compile");
+                let h = DenseMatrix::zeros(gctx.num_nodes(), k1).expect("alloc");
+                let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &gctx, h, 7);
+
+                let comp = System::WiseGraph.default_composition(ModelKind::Gcn, cfg);
+                let mut bound = bind_composition(&exec, &plan, comp, &inputs).expect("baseline");
+                engine.take_profile();
+                baseline_iterate(System::WiseGraph, ModelKind::Gcn, &exec, &gctx, &mut bound)
+                    .expect("fwd");
+                base += engine.take_profile().total_seconds();
+
                 let sel = granii
                     .select_with_config(ModelKind::Gcn, &graph, cfg, ITERATIONS)
                     .expect("select");
                 once += sel.overhead_seconds();
-                let layer = GnnLayer::new(ModelKind::Gcn, cfg, 7).expect("layer");
-                engine.take_profile();
-                let prepared = layer.prepare(&exec, &gctx, sel.composition).expect("prep");
+                let mut bound =
+                    bind_composition(&exec, &plan, sel.composition, &inputs).expect("bind");
                 once += engine.take_profile().total_seconds();
-                let h = DenseMatrix::zeros(gctx.num_nodes(), k1).expect("alloc");
-                layer
-                    .forward(&exec, &gctx, &prepared, &h, sel.composition)
-                    .expect("fwd");
+                bound.iterate(&exec).expect("fwd");
                 opt += engine.take_profile().total_seconds();
             }
             let n = ITERATIONS as f64;

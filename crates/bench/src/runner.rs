@@ -1,13 +1,14 @@
 //! Measurement core: baseline runs, per-composition ground truth, and GRANII
-//! runs for one grid cell.
+//! runs for one grid cell. Every inference timing binds a candidate program
+//! of the model's compiled plan and charges its iterations — the program the
+//! serving runtime and the steady-state engine run.
 
-use granii_core::execplan::PlanInputs;
+use granii_core::execplan::{BoundPlan, ExecPlan, PlanInputs};
 use granii_core::plan::CompiledModel;
 use granii_core::runtime::{run_steady_state, SteadyStateReport};
 use granii_core::{CoreError, Granii};
-use granii_gnn::models::GnnLayer;
 use granii_gnn::spec::{Composition, LayerConfig, ModelKind};
-use granii_gnn::system::BaselineRunner;
+use granii_gnn::system::System;
 use granii_gnn::train::Trainer;
 use granii_gnn::{Exec, GraphCtx};
 use granii_graph::Graph;
@@ -21,6 +22,48 @@ pub const ITERATIONS: usize = 100;
 
 /// Deterministic seed for layer parameters across all runs.
 const SEED: u64 = 7;
+
+/// Builds `composition`'s candidate program of `plan` and binds it to
+/// `inputs`, charging the hoisted setup once.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidIr`] if `composition` is not a candidate of
+/// `plan`, and propagates build/bind errors.
+pub fn bind_composition(
+    exec: &Exec,
+    plan: &CompiledModel,
+    composition: Composition,
+    inputs: &PlanInputs,
+) -> Result<BoundPlan, CoreError> {
+    ExecPlan::build(&plan.candidate(composition)?.program)?.bind(exec, &inputs.as_program_inputs())
+}
+
+/// One baseline iteration: `system`'s per-iteration normalization
+/// bookkeeping (the binning/scan degree computation plus the `d^{-1/2}`
+/// map), then one iteration of its default composition's bound program.
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub fn baseline_iterate(
+    system: System,
+    model: ModelKind,
+    exec: &Exec,
+    ctx: &GraphCtx,
+    bound: &mut BoundPlan,
+) -> Result<(), CoreError> {
+    let _span = granii_telemetry::span!(
+        "baseline.iterate",
+        system = system.name(),
+        model = model.name(),
+        nodes = ctx.num_nodes(),
+    );
+    granii_telemetry::counter_add("baseline.iterations", 1);
+    system.charge_normalization(model, exec, ctx);
+    bound.iterate(exec)?;
+    Ok(())
+}
 
 /// Measures one grid cell. `graph` must be the dataset of `cfg` (the caller
 /// caches loaded graphs), and `granii` must be trained for `cfg.device`.
@@ -48,35 +91,60 @@ pub fn evaluate_config(
     );
     let ctx = GraphCtx::new(graph)?;
     let layer_cfg = LayerConfig::new(cfg.k1, cfg.k2);
+    let plan = granii.compiled(cfg.model, layer_cfg)?;
     let engine = Engine::modeled(cfg.device);
     let exec = Exec::virtual_only(&engine);
     let h = DenseMatrix::zeros(ctx.num_nodes(), cfg.k1)?;
     let target = DenseMatrix::zeros(ctx.num_nodes(), cfg.k2)?;
-
-    // Baseline: the system's default composition plus its per-iteration
-    // normalization path.
-    let baseline = BaselineRunner::new(cfg.system, cfg.model, layer_cfg, SEED, &exec, &ctx)?;
-    let baseline_prepare = engine.take_profile().total_seconds();
-    let per_iter = match cfg.mode {
-        Mode::Inference => {
-            baseline.iterate(&exec, &ctx, &h)?;
-            engine.take_profile().total_seconds()
-        }
-        Mode::Training => {
-            let mut trainer = Trainer::new(cfg.model, layer_cfg, SEED, 0.01)?;
-            baseline.charge_normalization(&exec, &ctx);
-            trainer.step(&exec, &ctx, &h, &target, baseline.composition())?;
-            engine.take_profile().total_seconds()
-        }
+    let inputs = match cfg.mode {
+        Mode::Inference => Some(PlanInputs::for_model(
+            cfg.model,
+            layer_cfg,
+            &ctx,
+            h.clone(),
+            SEED,
+        )),
+        Mode::Training => None,
     };
-    let baseline_seconds = baseline_prepare + ITERATIONS as f64 * per_iter;
+
+    // A full run of one composition. Inference binds its candidate program
+    // (hoisted setup charged once) and charges one iteration, scaled to the
+    // run length; training charges one tape step per iteration. A baseline
+    // `system` also pays its per-iteration normalization path.
+    let run_seconds = |comp: Composition, system: Option<System>| -> Result<f64, CoreError> {
+        engine.take_profile();
+        let setup = match &inputs {
+            Some(inputs) => {
+                let mut bound = bind_composition(&exec, &plan, comp, inputs)?;
+                let setup = engine.take_profile().total_seconds();
+                match system {
+                    Some(system) => baseline_iterate(system, cfg.model, &exec, &ctx, &mut bound)?,
+                    None => {
+                        bound.iterate(&exec)?;
+                    }
+                }
+                setup
+            }
+            None => {
+                let mut trainer = Trainer::new(cfg.model, layer_cfg, SEED, 0.01)?;
+                if let Some(system) = system {
+                    system.charge_normalization(cfg.model, &exec, &ctx);
+                }
+                trainer.step(&exec, &ctx, &h, &target, comp)?;
+                0.0
+            }
+        };
+        Ok(setup + ITERATIONS as f64 * engine.take_profile().total_seconds())
+    };
+
+    let baseline_composition = cfg.system.default_composition(cfg.model, layer_cfg);
+    let baseline_seconds = run_seconds(baseline_composition, Some(cfg.system))?;
 
     // Ground truth per composition, under GRANII's generated code (degree
-    // normalization hoisted, preparation charged once).
+    // normalization hoisted, setup charged once).
     let mut composition_seconds = Vec::new();
     for comp in Composition::all_for(cfg.model) {
-        let seconds = time_composition(cfg, &ctx, &engine, comp, &h, &target)?;
-        composition_seconds.push((comp, seconds));
+        composition_seconds.push((comp, run_seconds(comp, None)?));
     }
     composition_seconds.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
 
@@ -91,7 +159,7 @@ pub fn evaluate_config(
 
     Ok(Record {
         config: *cfg,
-        baseline_composition: baseline.composition(),
+        baseline_composition,
         baseline_seconds,
         composition_seconds,
         granii_composition: selection.composition,
@@ -99,37 +167,6 @@ pub fn evaluate_config(
         overhead_seconds,
         used_cost_models: selection.used_cost_models,
     })
-}
-
-/// Times one composition for a full run (preparation once + scaled
-/// iterations).
-fn time_composition(
-    cfg: &EvalConfig,
-    ctx: &GraphCtx,
-    engine: &Engine,
-    comp: Composition,
-    h: &DenseMatrix,
-    target: &DenseMatrix,
-) -> Result<f64, CoreError> {
-    let exec = Exec::virtual_only(engine);
-    let layer_cfg = LayerConfig::new(cfg.k1, cfg.k2);
-    engine.take_profile();
-    match cfg.mode {
-        Mode::Inference => {
-            let layer = GnnLayer::new(cfg.model, layer_cfg, SEED)?;
-            let prepared = layer.prepare(&exec, ctx, comp)?;
-            let prep = engine.take_profile().total_seconds();
-            layer.forward(&exec, ctx, &prepared, h, comp)?;
-            let per_iter = engine.take_profile().total_seconds();
-            Ok(prep + ITERATIONS as f64 * per_iter)
-        }
-        Mode::Training => {
-            let mut trainer = Trainer::new(cfg.model, layer_cfg, SEED, 0.01)?;
-            trainer.step(&exec, ctx, h, target, comp)?;
-            let per_iter = engine.take_profile().total_seconds();
-            Ok(ITERATIONS as f64 * per_iter)
-        }
-    }
 }
 
 /// Runs `composition` for one grid cell through the compile-once engine and
@@ -155,13 +192,16 @@ pub fn steady_state_report(
     run_steady_state(&exec, &plan, composition, &inputs, ITERATIONS)
 }
 
-/// Profiles one baseline GCN iteration and returns the sparse/dense runtime
-/// split (Figure 2's breakdown).
+/// Profiles one baseline GCN iteration (DGL's default composition of the
+/// GCN `plan`, plus its normalization path) and returns the sparse/dense
+/// runtime split (Figure 2's breakdown).
 ///
 /// # Errors
 ///
-/// Propagates layer errors.
+/// Returns [`CoreError::InvalidIr`] if `plan` is not GCN's, and propagates
+/// bind and kernel errors.
 pub fn sparse_dense_breakdown(
+    plan: &CompiledModel,
     graph: &Graph,
     k1: usize,
     k2: usize,
@@ -170,17 +210,13 @@ pub fn sparse_dense_breakdown(
     let ctx = GraphCtx::new(graph)?;
     let engine = Engine::modeled(device);
     let exec = Exec::virtual_only(&engine);
-    let runner = BaselineRunner::new(
-        granii_gnn::system::System::Dgl,
-        ModelKind::Gcn,
-        LayerConfig::new(k1, k2),
-        SEED,
-        &exec,
-        &ctx,
-    )?;
-    engine.take_profile();
+    let cfg = LayerConfig::new(k1, k2);
     let h = DenseMatrix::zeros(ctx.num_nodes(), k1)?;
-    runner.iterate(&exec, &ctx, &h)?;
+    let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, h, SEED);
+    let comp = System::Dgl.default_composition(ModelKind::Gcn, cfg);
+    let mut bound = bind_composition(&exec, plan, comp, &inputs)?;
+    engine.take_profile();
+    baseline_iterate(System::Dgl, ModelKind::Gcn, &exec, &ctx, &mut bound)?;
     Ok(engine.take_profile())
 }
 
@@ -189,7 +225,6 @@ mod tests {
     use super::*;
     use crate::grid::Mode;
     use granii_core::GraniiOptions;
-    use granii_gnn::system::System;
     use granii_graph::datasets::{Dataset, Scale};
 
     fn granii(device: DeviceKind) -> Granii {
@@ -289,7 +324,8 @@ mod tests {
     #[test]
     fn breakdown_has_sparse_and_dense_time() {
         let graph = Dataset::Reddit.load(Scale::Tiny).unwrap();
-        let p = sparse_dense_breakdown(&graph, 32, 32, DeviceKind::H100).unwrap();
+        let plan = CompiledModel::compile(ModelKind::Gcn, LayerConfig::new(32, 32)).unwrap();
+        let p = sparse_dense_breakdown(&plan, &graph, 32, 32, DeviceKind::H100).unwrap();
         let f = p.sparse_fraction();
         assert!(f > 0.0 && f < 1.0, "sparse fraction {f}");
     }

@@ -493,11 +493,11 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Measured execution: runs every composition of a model on the host CPU and
-/// reports per-iteration times next to GRANII's selection.
+/// Measured execution: runs every composition of a model on the host CPU —
+/// each candidate program bound once, then iterated — and reports
+/// per-iteration times next to GRANII's selection.
 fn cmd_bench(args: &Args) -> Result<String, CliError> {
-    use granii_gnn::models::GnnLayer;
-    use granii_gnn::spec::Composition;
+    use granii_core::execplan::{ExecPlan, PlanInputs};
     use granii_gnn::{Exec, GraphCtx};
     use granii_matrix::device::Engine;
     use granii_matrix::DenseMatrix;
@@ -522,11 +522,12 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let ctx = GraphCtx::new(&graph).map_err(|e| e.to_string())?;
     let engine = Engine::cpu_measured();
     let exec = Exec::real(&engine);
-    let layer = GnnLayer::new(model, cfg, 7).map_err(|e| e.to_string())?;
     let h = DenseMatrix::random(ctx.num_nodes(), k1, 1.0, 1);
+    let inputs = PlanInputs::for_model(model, cfg, &ctx, h.clone(), 7);
     let selection = granii
         .select_with_config(model, &graph, cfg, iters)
         .map_err(|e| e.to_string())?;
+    let plan = granii.compiled(model, cfg).map_err(|e| e.to_string())?;
 
     let mut out = format!(
         "measured CPU execution on {} ({} nodes, {} edges), {iters} iterations each
@@ -535,15 +536,14 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
         graph.num_nodes(),
         graph.num_edges()
     );
-    for comp in Composition::all_for(model) {
-        let prepared = layer
-            .prepare(&exec, &ctx, comp)
+    for candidate in &plan.candidates {
+        let comp = candidate.composition;
+        let mut bound = ExecPlan::build(&candidate.program)
+            .and_then(|p| p.bind(&exec, &inputs.as_program_inputs()))
             .map_err(|e| e.to_string())?;
         engine.take_profile();
         for _ in 0..iters {
-            layer
-                .forward(&exec, &ctx, &prepared, &h, comp)
-                .map_err(|e| e.to_string())?;
+            bound.iterate(&exec).map_err(|e| e.to_string())?;
         }
         let per_iter = engine.take_profile().total_seconds() / iters as f64;
         let marker = if comp == selection.composition {

@@ -31,16 +31,15 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use granii_gnn::models::{GAT_SLOPE, GIN_EPS};
-use granii_gnn::spec::{LayerConfig, ModelKind};
-use granii_gnn::{Exec, GraphCtx};
+use granii_gnn::spec::{layer_weights, LayerConfig, ModelKind, GAT_SLOPE, GIN_EPS};
+use granii_gnn::{Exec, GnnError, GraphCtx};
 use granii_matrix::device::ChargeSummary;
 use granii_matrix::ops::BroadcastOp;
-use granii_matrix::{CsrMatrix, DenseMatrix, PrimitiveKind, Semiring, WorkStats};
+use granii_matrix::{CsrMatrix, DenseMatrix, PrimitiveKind, WorkStats};
 use granii_telemetry::{ProfileReport, ProfileRow};
 
 use crate::assoc::{CandidateProgram, PrimStep};
-use crate::interp::{split_top, ProgramInputs};
+use crate::interp::{split_top, spmm_semiring, ProgramInputs};
 use crate::{CoreError, Result};
 
 /// Index into the plan's value table (one entry per produced/leaf value).
@@ -357,7 +356,12 @@ impl ExecPlan {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidIr`] for missing weights (`unbound
-    /// operand`) and propagates kernel errors from the setup run.
+    /// operand`), and [`CoreError::Gnn`] wrapping
+    /// [`GnnError::FeatureMismatch`] (features, or an SpMM/broadcast operand,
+    /// without one row per node) or [`GnnError::DimensionMismatch`] (GEMM
+    /// inner dimensions or a broadcast diagonal that disagree) — all found
+    /// by shape inference, before anything is charged. Propagates kernel
+    /// errors from the setup run.
     pub fn bind(&self, exec: &Exec, inputs: &ProgramInputs) -> Result<BoundPlan> {
         let _span = granii_telemetry::span!("execplan.bind", expr = self.expr.as_str());
         let t0 = Instant::now();
@@ -372,7 +376,10 @@ impl ExecPlan {
                 Leaf::Adj => Shape::Sparse,
                 Leaf::DegInvSqrt => Shape::Diag(inputs.deg_inv_sqrt.len()),
                 Leaf::DegInv => Shape::Diag(inputs.deg_inv.len()),
-                Leaf::Features => Shape::Dense(inputs.h.rows(), inputs.h.cols()),
+                Leaf::Features => {
+                    check_node_rows(inputs.h.rows(), n)?;
+                    Shape::Dense(inputs.h.rows(), inputs.h.cols())
+                }
                 Leaf::EpsIdentity => Shape::Diag(n),
                 Leaf::Weight(name) => {
                     let w = inputs
@@ -628,24 +635,54 @@ fn diag_len(s: Shape) -> Result<usize> {
     }
 }
 
+/// Features, and every dense operand of an SpMM or broadcast, carry one row
+/// per node.
+fn check_node_rows(rows: usize, n: usize) -> Result<()> {
+    if rows != n {
+        return Err(GnnError::FeatureMismatch { nodes: n, rows }.into());
+    }
+    Ok(())
+}
+
+fn check_dim(expected: usize, got: usize) -> Result<()> {
+    if expected != got {
+        return Err(GnnError::DimensionMismatch { expected, got }.into());
+    }
+    Ok(())
+}
+
+/// Infers an instruction's output shape, rejecting operands whose shapes
+/// the kernel would refuse.
 fn infer_shape(instr: &Instr, shape: &[Option<Shape>], n: usize) -> Result<Shape> {
     Ok(match instr {
         Instr::Gemm { a, b, .. } => {
-            let (ar, _) = dense_dims(shape_of(shape, *a)?)?;
-            let (_, bc) = dense_dims(shape_of(shape, *b)?)?;
+            let (ar, ac) = dense_dims(shape_of(shape, *a)?)?;
+            let (br, bc) = dense_dims(shape_of(shape, *b)?)?;
+            check_dim(br, ac)?;
             Shape::Dense(ar, bc)
         }
         Instr::Spmm { x, .. } => {
-            let (_, xc) = dense_dims(shape_of(shape, *x)?)?;
+            let (xr, xc) = dense_dims(shape_of(shape, *x)?)?;
+            check_node_rows(xr, n)?;
             Shape::Dense(n, xc)
         }
         Instr::AttLogits { .. }
         | Instr::ScaleCsr { .. }
         | Instr::LeakyRelu { .. }
         | Instr::EdgeSoftmax { .. } => Shape::Sparse,
-        Instr::RowBroadcast { x, .. } | Instr::ColBroadcast { x, .. } | Instr::Relu { x, .. } => {
-            shape_of(shape, *x)?
+        Instr::RowBroadcast { d, x, .. } | Instr::ColBroadcast { x, d, .. } => {
+            let s = shape_of(shape, *x)?;
+            let (xr, xc) = dense_dims(s)?;
+            check_node_rows(xr, n)?;
+            let along = if matches!(instr, Instr::RowBroadcast { .. }) {
+                xr
+            } else {
+                xc
+            };
+            check_dim(along, diag_len(shape_of(shape, *d)?)?)?;
+            s
         }
+        Instr::Relu { x, .. } => shape_of(shape, *x)?,
         Instr::AddN { parts, .. } => shape_of(shape, parts[0])?,
         Instr::DiagMerge { parts, .. } => Shape::Diag(diag_len(shape_of(shape, parts[0])?)?),
     })
@@ -1478,17 +1515,13 @@ fn run_batched_into(
         Instr::Spmm {
             adj, x, weighted, ..
         } => {
-            let semiring = if *weighted {
-                Semiring::plus_mul()
-            } else {
-                Semiring::plus_copy_rhs()
-            };
+            let adj = sparse_at(slots, slot_of[*adj], "spmm adj")?;
             exec.spmm_cols_into(
-                sparse_at(slots, slot_of[*adj], "spmm adj")?,
+                adj,
                 wide_at(wide, slot_of[*x], "batched spmm rhs")?,
                 lowering.wide_cols[slot_of[*x]],
                 batch,
-                semiring,
+                spmm_semiring(*weighted, adj),
                 irr,
                 out,
             )?;
@@ -1588,15 +1621,11 @@ fn run_into(
         Instr::Spmm {
             adj, x, weighted, ..
         } => {
-            let semiring = if *weighted {
-                Semiring::plus_mul()
-            } else {
-                Semiring::plus_copy_rhs()
-            };
+            let adj = sparse_at(slots, slot_of[*adj], "spmm adj")?;
             exec.spmm_into(
-                sparse_at(slots, slot_of[*adj], "spmm adj")?,
+                adj,
                 dense_at(slots, slot_of[*x], "spmm rhs")?,
-                semiring,
+                spmm_semiring(*weighted, adj),
                 irr,
                 dense_out(out, "spmm")?,
             )?;
@@ -1728,10 +1757,10 @@ pub struct PlanInputs {
 }
 
 impl PlanInputs {
-    /// Builds deterministic random weights under the leaf names `model`'s
-    /// programs reference (`W`, `W1`/`W2`, per-hop `W{k}`, `W_self`/`W_neigh`,
-    /// `a_l`/`a_r`) and picks the aggregation mask the model family expects
-    /// (raw adjacency for GIN/SAGE, the self-loop form otherwise).
+    /// Draws the layer's weights from [`layer_weights`] (the leaf names
+    /// `model`'s programs reference) and picks the aggregation mask the
+    /// model family expects (raw adjacency for GIN, its unweighted pattern
+    /// for SAGE's mean, the self-loop form otherwise).
     pub fn for_model(
         model: ModelKind,
         cfg: LayerConfig,
@@ -1739,57 +1768,13 @@ impl PlanInputs {
         h: DenseMatrix,
         seed: u64,
     ) -> Self {
-        let scale = (2.0 / (cfg.k_in + cfg.k_out) as f32).sqrt();
-        let mut weights = BTreeMap::new();
-        match model {
-            ModelKind::Gin => {
-                weights.insert(
-                    "W1".into(),
-                    DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                );
-                weights.insert(
-                    "W2".into(),
-                    DenseMatrix::random(cfg.k_out, cfg.k_out, scale, seed + 1),
-                );
-            }
-            ModelKind::Tagcn => {
-                for k in 0..=cfg.hops {
-                    weights.insert(
-                        format!("W{k}"),
-                        DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed + k as u64),
-                    );
-                }
-            }
-            ModelKind::Sage => {
-                weights.insert(
-                    "W_self".into(),
-                    DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                );
-                weights.insert(
-                    "W_neigh".into(),
-                    DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed + 1),
-                );
-            }
-            _ => {
-                weights.insert(
-                    "W".into(),
-                    DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                );
-                weights.insert(
-                    "a_l".into(),
-                    DenseMatrix::random(cfg.k_out, 1, scale, seed + 1),
-                );
-                weights.insert(
-                    "a_r".into(),
-                    DenseMatrix::random(cfg.k_out, 1, scale, seed + 2),
-                );
-            }
-        }
-        let raw = matches!(model, ModelKind::Gin | ModelKind::Sage);
-        let adj = if raw {
-            ctx.graph().adj().clone()
-        } else {
-            ctx.adj().clone()
+        let weights = layer_weights(model, cfg, seed);
+        let adj = match model {
+            ModelKind::Gin => ctx.graph().adj().clone(),
+            // GraphSAGE's mean aggregator averages neighbours unweighted, so
+            // `D^{-1}·A` must not pick up edge weights.
+            ModelKind::Sage => ctx.graph().adj().clone().drop_values(),
+            _ => ctx.adj().clone(),
         };
         let deg_inv = ctx
             .graph()
@@ -1847,6 +1832,59 @@ mod tests {
             .filter(|p| p.setup_len() > 0)
             .count();
         assert!(hoisted > 0);
+    }
+
+    /// Weighted input graphs must use their edge values: on a weighted
+    /// graph every GCN candidate — the dynamic ones included, whose
+    /// aggregation steps the program marks unweighted — matches the dense
+    /// reference `relu(D^-1/2 Ã D^-1/2 · H · W)` and charges weighted SpMMs.
+    #[test]
+    fn weighted_graphs_respect_edge_values() {
+        use granii_matrix::{ops, CooMatrix};
+        let coo = CooMatrix::from_entries(
+            3,
+            3,
+            &[
+                (0, 1, 2.0),
+                (1, 0, 2.0),
+                (1, 2, 0.5),
+                (2, 1, 0.5),
+                (0, 2, 3.0),
+                (2, 0, 3.0),
+            ],
+        )
+        .unwrap();
+        let g = granii_graph::Graph::from_csr(coo.to_csr()).unwrap();
+        let ctx = GraphCtx::new(&g).unwrap();
+        let cfg = LayerConfig::new(2, 2);
+        let h = DenseMatrix::random(3, 2, 1.0, 5);
+        let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, h.clone(), 6);
+        let d = ctx.deg_inv_sqrt().to_vec();
+        let norm = ops::scale_csr(Some(&d), ctx.adj(), Some(&d)).unwrap();
+        let w = &layer_weights(ModelKind::Gcn, cfg, 6)["W"];
+        let reference = ops::gemm(&norm.to_dense().unwrap(), &ops::gemm(&h, w).unwrap())
+            .unwrap()
+            .relu();
+        for cand in &plan_for(ModelKind::Gcn, cfg).candidates {
+            let engine = Engine::modeled(DeviceKind::Cpu);
+            let exec = Exec::real(&engine);
+            let mut bound = ExecPlan::build(&cand.program)
+                .unwrap()
+                .bind(&exec, &inputs.as_program_inputs())
+                .unwrap();
+            let out = bound.iterate(&exec).unwrap();
+            let diff = out.max_abs_diff(&reference).unwrap();
+            assert!(
+                diff < 1e-4,
+                "{} ignores edge weights ({diff})",
+                cand.composition
+            );
+            assert!(engine
+                .take_profile()
+                .entries
+                .iter()
+                .all(|e| e.kind != PrimitiveKind::SpmmUnweighted));
+        }
     }
 
     #[test]

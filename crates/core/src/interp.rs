@@ -114,6 +114,18 @@ fn lookup<'e>(env: &'e BTreeMap<String, Value>, expr: &str) -> Result<&'e Value>
         .ok_or_else(|| CoreError::InvalidIr(format!("unbound operand {expr}")))
 }
 
+/// The semiring of an SpMM step. A step the program marks unweighted still
+/// reads edge values when the bound adjacency carries them: the cheap
+/// `copy_u` aggregation applies only to unweighted graphs (Table I's
+/// weighted/unweighted sub-attribute, §III-A). Shared with `execplan`.
+pub(crate) fn spmm_semiring(weighted_step: bool, adj: &CsrMatrix) -> Semiring {
+    if weighted_step || adj.is_weighted() {
+        Semiring::plus_mul()
+    } else {
+        Semiring::plus_copy_rhs()
+    }
+}
+
 /// Splits a canonical expression `(a·b·c)` / `(a + b)` at its top level.
 /// Shared with the compile-once engine (`execplan`) so both resolve operands
 /// identically.
@@ -168,11 +180,7 @@ fn eval_step(
             let (s, x) = binary(&parts, sig)?;
             let sparse = as_sparse(lookup(env, &s)?)?;
             let dense = as_dense(lookup(env, &x)?)?;
-            let semiring = if step.kind == PrimitiveKind::SpmmWeighted {
-                Semiring::plus_mul()
-            } else {
-                Semiring::plus_copy_rhs()
-            };
+            let semiring = spmm_semiring(step.kind == PrimitiveKind::SpmmWeighted, sparse);
             Ok(Value::Dense(exec.spmm(sparse, dense, semiring, irr)?))
         }
         PrimitiveKind::Sddmm => {
@@ -251,7 +259,7 @@ fn eval_step(
         PrimitiveKind::Elementwise => {
             if let Some(theta) = sig.strip_prefix("att-leaky:") {
                 let logits = as_sparse(lookup(env, &format!("att-logits:{theta}"))?)?;
-                let slope = granii_gnn::models::GAT_SLOPE;
+                let slope = granii_gnn::spec::GAT_SLOPE;
                 return Ok(Value::Sparse(exec.map_csr_values(logits, move |v| {
                     if v >= 0.0 {
                         v
@@ -442,7 +450,7 @@ mod tests {
                 deg_inv: &deg_inv,
                 h: &h,
                 weights: &w,
-                eps: granii_gnn::models::GIN_EPS,
+                eps: granii_gnn::spec::GIN_EPS,
                 irregularity: ctx.irregularity(),
             };
             let plan = CompiledModel::compile(model, cfg).unwrap();
@@ -497,53 +505,6 @@ mod tests {
             let out = execute(&exec, &cand.program, &inputs).unwrap();
             let diff = out.max_abs_diff(&reference).unwrap();
             assert!(diff < 1e-4, "{}: diff {diff}", cand.program.expr);
-        }
-    }
-
-    /// Lowering soundness: the interpreted program and the executable
-    /// composition it lowers to compute the same function (checked for GCN,
-    /// whose layer exposes its weight).
-    #[test]
-    fn interpretation_matches_lowered_composition() {
-        use granii_gnn::models::GnnLayer;
-        let g = generators::power_law(22, 3, 11).unwrap();
-        let ctx = GraphCtx::new(&g).unwrap();
-        let cfg = LayerConfig::new(5, 4);
-        let h = DenseMatrix::random(22, 5, 1.0, 12);
-        let engine = Engine::modeled(DeviceKind::Cpu);
-        let exec = Exec::real(&engine);
-
-        let layer = GnnLayer::new(ModelKind::Gcn, cfg, 33).unwrap();
-        let weight = match &layer {
-            GnnLayer::Gcn(gcn) => gcn.weight().clone(),
-            _ => unreachable!(),
-        };
-        let mut w = BTreeMap::new();
-        w.insert("W".to_string(), weight);
-        let deg_inv = vec![0.0f32; 22];
-        let inputs = ProgramInputs {
-            adj: ctx.adj(),
-            deg_inv_sqrt: ctx.deg_inv_sqrt(),
-            deg_inv: &deg_inv,
-            h: &h,
-            weights: &w,
-            eps: 0.0,
-            irregularity: ctx.irregularity(),
-        };
-        let plan = CompiledModel::compile(ModelKind::Gcn, cfg).unwrap();
-        for cand in &plan.candidates {
-            let interpreted = execute(&exec, &cand.program, &inputs).unwrap();
-            let prepared = layer.prepare(&exec, &ctx, cand.composition).unwrap();
-            let lowered = layer
-                .forward(&exec, &ctx, &prepared, &h, cand.composition)
-                .unwrap();
-            let diff = interpreted.max_abs_diff(&lowered).unwrap();
-            assert!(
-                diff < 1e-4,
-                "{}: interp vs {} diff {diff}",
-                cand.program.expr,
-                cand.composition
-            );
         }
     }
 

@@ -18,8 +18,8 @@
 //!    table (App. D); common subexpressions are reused; the input-oblivious
 //!    pruner drops candidates dominated under *both* embedding-size scenarios
 //!    and annotates survivors with the scenario(s) they can win (§IV-C),
-//! 4. [`plan`] — promoted candidates are lowered to executable compositions
-//!    guarded by embedding-size conditions and cost-model comparisons
+//! 4. [`plan`] — promoted candidates, each labelled with its composition,
+//!    are guarded by embedding-size conditions and cost-model comparisons
 //!    (Fig 7, §IV-D).
 //!
 //! **Online runtime stage**
@@ -30,8 +30,10 @@
 //!    (graph, embedding sizes, device); selection overheads are reported,
 //! 7. [`execplan`] — the selected candidate is lowered once into a
 //!    slot-addressed [`execplan::ExecPlan`] whose steady-state iterations run
-//!    with zero heap allocation and no string-keyed lookups; the
-//!    string-resolving [`interp`] survives as the differential-test oracle.
+//!    with zero heap allocation and no string-keyed lookups. It is the only
+//!    inference executor — baselines run their default composition's
+//!    candidate program through it too; the string-resolving [`interp`]
+//!    survives as the differential-test oracle.
 //!
 //! The top-level entry point is [`Granii`] (the `GRANII(model, graph, ...)`
 //! call of Fig 4).

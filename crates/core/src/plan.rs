@@ -13,12 +13,12 @@ use crate::assoc::{self, CandidateProgram};
 use crate::ir::{builder, rewrite};
 use crate::{CoreError, Result};
 
-/// A promoted candidate with its executable lowering.
+/// A promoted candidate: its primitive program and composition label.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanCandidate {
     /// The association tree's primitive program.
     pub program: CandidateProgram,
-    /// The executable composition it lowers to.
+    /// The composition label `assoc::lower` gives the program.
     pub composition: Composition,
     /// Eligible when `K1 >= K2`.
     pub shrink: bool,
@@ -116,6 +116,24 @@ impl CompiledModel {
         })
     }
 
+    /// The candidate whose program implements `composition`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidIr`] if `composition` is not one of this
+    /// plan's candidates (e.g. it belongs to another model).
+    pub fn candidate(&self, composition: Composition) -> Result<&PlanCandidate> {
+        self.candidates
+            .iter()
+            .find(|c| c.composition == composition)
+            .ok_or_else(|| {
+                CoreError::InvalidIr(format!(
+                    "composition {composition} is not a candidate of {}",
+                    self.model.name()
+                ))
+            })
+    }
+
     /// The candidates eligible under the concrete embedding sizes (Fig 7's
     /// embedding-size conditions).
     pub fn eligible(&self, k1: usize, k2: usize) -> Vec<&PlanCandidate> {
@@ -176,6 +194,96 @@ mod tests {
         assert_eq!(plan.eligible(256, 32).len(), 2);
         assert_eq!(plan.eligible(32, 256).len(), 2);
         assert!(plan.needs_cost_models(256, 32));
+    }
+
+    /// Each label's program has the structure the paper's case study gives
+    /// that composition: update-first (and GAT's reuse) aggregates at the
+    /// output width `K2`, aggregate-first (recompute) at `K1`; precompute
+    /// hoists the SDDMM edge scaling and runs no per-iteration broadcast,
+    /// dynamic broadcasts around an unweighted SpMM; GAT's recompute pays
+    /// one GEMM more than reuse; SGC's precompute program aggregates once
+    /// per hop.
+    #[test]
+    fn labels_name_their_programs_structure() {
+        use crate::ir::Dim;
+        use granii_matrix::PrimitiveKind;
+        for kind in [
+            ModelKind::Gcn,
+            ModelKind::Gin,
+            ModelKind::Sgc,
+            ModelKind::Tagcn,
+            ModelKind::Gat,
+            ModelKind::Sage,
+        ] {
+            let plan = CompiledModel::compile(kind, LayerConfig::new(8, 4)).unwrap();
+            for c in &plan.candidates {
+                let at_k2 = match c.composition {
+                    Composition::Gcn(_, o)
+                    | Composition::Sgc(_, o)
+                    | Composition::Tagcn(_, o)
+                    | Composition::Gin(o)
+                    | Composition::Sage(o) => o == OpOrder::UpdateFirst,
+                    Composition::Gat(s) => s == GatStrategy::Reuse,
+                };
+                let width = if at_k2 { Dim::K2 } else { Dim::K1 };
+                let spmm = |k| {
+                    matches!(
+                        k,
+                        PrimitiveKind::SpmmWeighted | PrimitiveKind::SpmmUnweighted
+                    )
+                };
+                assert!(
+                    c.program
+                        .steps
+                        .iter()
+                        .filter(|s| spmm(s.kind))
+                        .all(|s| s.cols == width),
+                    "{c:?}"
+                );
+            }
+        }
+        let count = |c: &PlanCandidate, kind: PrimitiveKind, once: bool| {
+            c.program
+                .steps
+                .iter()
+                .filter(|s| s.kind == kind && s.once == once)
+                .count()
+        };
+        let gcn = CompiledModel::compile(ModelKind::Gcn, LayerConfig::new(32, 256)).unwrap();
+        for c in &gcn.candidates {
+            let broadcasts = count(c, PrimitiveKind::RowBroadcast, false);
+            match c.composition {
+                Composition::Gcn(NormStrategy::Precompute, _) => {
+                    assert_eq!(count(c, PrimitiveKind::Sddmm, true), 1, "{c:?}");
+                    assert_eq!(broadcasts, 0, "{c:?}");
+                }
+                _ => {
+                    assert_eq!(count(c, PrimitiveKind::Sddmm, true), 0, "{c:?}");
+                    assert_eq!(broadcasts, 2, "{c:?}");
+                    assert_eq!(count(c, PrimitiveKind::SpmmUnweighted, false), 1);
+                }
+            }
+        }
+        let gat = CompiledModel::compile(ModelKind::Gat, LayerConfig::new(32, 256)).unwrap();
+        let gemms = |s: GatStrategy| {
+            count(
+                gat.candidate(Composition::Gat(s)).unwrap(),
+                PrimitiveKind::Gemm,
+                false,
+            )
+        };
+        assert_eq!(gemms(GatStrategy::Recompute), gemms(GatStrategy::Reuse) + 1);
+        for hops in 1..=3 {
+            let cfg = LayerConfig {
+                k_in: 8,
+                k_out: 4,
+                hops,
+            };
+            let sgc = CompiledModel::compile(ModelKind::Sgc, cfg).unwrap();
+            let comp = Composition::Sgc(NormStrategy::Precompute, OpOrder::AggregateFirst);
+            let c = sgc.candidate(comp).unwrap();
+            assert_eq!(count(c, PrimitiveKind::SpmmWeighted, false), hops, "{c:?}");
+        }
     }
 
     #[test]

@@ -191,8 +191,8 @@ impl SteadyStateReport {
 }
 
 /// Sum of the allocation counters the steady-state contract is asserted
-/// against (dense buffers, sparse value buffers, and workspace misses). Only
-/// meaningful while telemetry is enabled.
+/// against (dense buffers and sparse value buffers). Only meaningful while
+/// telemetry is enabled.
 pub fn allocation_counter_total() -> u64 {
     granii_telemetry::metrics_snapshot()
         .counters
@@ -200,7 +200,7 @@ pub fn allocation_counter_total() -> u64 {
         .filter(|(name, _)| {
             matches!(
                 name.as_str(),
-                "matrix.dense_allocs" | "matrix.sparse_vals_allocs" | "workspace.fresh_allocs"
+                "matrix.dense_allocs" | "matrix.sparse_vals_allocs"
             )
         })
         .map(|&(_, v)| v)
@@ -223,16 +223,7 @@ pub fn run_steady_state(
     inputs: &PlanInputs,
     iterations: usize,
 ) -> Result<SteadyStateReport> {
-    let candidate = plan
-        .candidates
-        .iter()
-        .find(|c| c.composition == composition)
-        .ok_or_else(|| {
-            CoreError::InvalidIr(format!(
-                "composition {composition} is not a candidate of {}",
-                plan.model.name()
-            ))
-        })?;
+    let candidate = plan.candidate(composition)?;
     let t_build = Instant::now();
     let exec_plan = ExecPlan::build(&candidate.program)?;
     let build_seconds = t_build.elapsed().as_secs_f64();

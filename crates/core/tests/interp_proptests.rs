@@ -1,9 +1,12 @@
-//! Property-based tests for the program interpreter: every promoted
-//! association tree of a model computes the same function on arbitrary
-//! graphs, features, and embedding sizes.
+//! Property-based tests for the program interpreter and the compile-once
+//! engine: every promoted association tree of a model computes the same
+//! function on arbitrary graphs, features, and embedding sizes, and a bound
+//! plan charges the same work whether or not its kernels compute values.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
+use granii_core::execplan::{ExecPlan, PlanInputs};
 use granii_core::interp::{self, ProgramInputs};
 use granii_core::plan::CompiledModel;
 use granii_gnn::spec::{LayerConfig, ModelKind};
@@ -62,6 +65,27 @@ fn weights(model: ModelKind, cfg: LayerConfig, seed: u64) -> BTreeMap<String, De
     w
 }
 
+const MODELS: [ModelKind; 6] = [
+    ModelKind::Gcn,
+    ModelKind::Gin,
+    ModelKind::Sgc,
+    ModelKind::Tagcn,
+    ModelKind::Gat,
+    ModelKind::Sage,
+];
+
+/// Every model's compiled plan. Candidate programs do not depend on the
+/// embedding sizes, so one compile per model serves every case.
+fn plans() -> &'static [CompiledModel] {
+    static PLANS: OnceLock<Vec<CompiledModel>> = OnceLock::new();
+    PLANS.get_or_init(|| {
+        MODELS
+            .iter()
+            .map(|&m| CompiledModel::compile(m, LayerConfig::new(4, 4)).unwrap())
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -76,8 +100,7 @@ proptest! {
         seed in 0u64..500,
         model_idx in 0usize..6,
     ) {
-        let models = [ModelKind::Gcn, ModelKind::Gin, ModelKind::Sgc, ModelKind::Tagcn, ModelKind::Gat, ModelKind::Sage];
-        let model = models[model_idx];
+        let model = MODELS[model_idx];
         let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
         let graph = Graph::undirected_from_edges(n, &edges).unwrap();
         let ctx = GraphCtx::new(&graph).unwrap();
@@ -103,7 +126,7 @@ proptest! {
             eps: 0.1,
             irregularity: ctx.irregularity(),
         };
-        let plan = CompiledModel::compile(model, cfg).unwrap();
+        let plan = &plans()[model_idx];
         let mut reference: Option<DenseMatrix> = None;
         for cand in &plan.candidates {
             let out = interp::execute(&exec, &cand.program, &inputs).unwrap();
@@ -114,6 +137,49 @@ proptest! {
                     let diff = out.max_abs_diff(r).unwrap();
                     let tol = 1e-3 * (1.0 + r.frobenius_norm());
                     prop_assert!(diff < tol, "{}/{}: diff {diff}", model, cand.program.expr);
+                }
+            }
+        }
+    }
+
+    /// Virtual execution charges exactly what real execution charges — bind
+    /// (the hoisted setup) plus one iteration, kernel by kernel, for every
+    /// model × candidate. Every repro table binds and iterates under
+    /// `Exec::virtual_only`, so this is what makes those tables trustworthy.
+    #[test]
+    fn virtual_and_real_plans_charge_the_same(
+        n in 3usize..25,
+        edges in proptest::collection::vec((0usize..25, 0usize..25), 1..60),
+        k_in in 1usize..7,
+        k_out in 1usize..7,
+        seed in 0u64..100,
+    ) {
+        let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let graph = Graph::undirected_from_edges(n, &edges).unwrap();
+        let ctx = GraphCtx::new(&graph).unwrap();
+        let cfg = LayerConfig::new(k_in, k_out);
+        let h = DenseMatrix::random(n, k_in, 1.0, seed);
+        for plan in plans() {
+            let inputs = PlanInputs::for_model(plan.model, cfg, &ctx, h.clone(), seed);
+            for cand in &plan.candidates {
+                let exec_plan = ExecPlan::build(&cand.program).unwrap();
+                let charge = |virtual_mode: bool| {
+                    let engine = Engine::modeled(DeviceKind::A100);
+                    let exec = if virtual_mode {
+                        Exec::virtual_only(&engine)
+                    } else {
+                        Exec::real(&engine)
+                    };
+                    let mut bound = exec_plan.bind(&exec, &inputs.as_program_inputs()).unwrap();
+                    bound.iterate(&exec).unwrap();
+                    engine.take_profile().entries
+                };
+                let (real, virt) = (charge(false), charge(true));
+                prop_assert_eq!(real.len(), virt.len(), "{}", cand.composition);
+                for (r, v) in real.iter().zip(&virt) {
+                    prop_assert_eq!(r.kind, v.kind, "{}", cand.composition);
+                    prop_assert_eq!(r.stats, v.stats, "{}", cand.composition);
+                    prop_assert_eq!(r.seconds, v.seconds, "{}", cand.composition);
                 }
             }
         }

@@ -373,7 +373,7 @@ impl<'e> Exec<'e> {
 
     // ------------------------------------------------------------------
     // `_into` variants: identical latency charges, but results land in
-    // caller-provided (workspace-recycled) buffers. These are the kernels the
+    // caller-provided buffers. These are the kernels the
     // compile-once execution engine drives in steady state — no allocation,
     // no clone, bitwise-equal outputs.
     // ------------------------------------------------------------------
@@ -433,39 +433,6 @@ impl<'e> Exec<'e> {
             check_dense_out("spmm_into", (adj.rows(), x.cols()), out)?;
             self.engine.charge(stats);
             out.as_mut_slice().fill(0.0);
-        }
-        Ok(())
-    }
-
-    /// [`Exec::sddmm`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors (including a mismatched `out` pattern).
-    pub fn sddmm_into(
-        &self,
-        mask: &CsrMatrix,
-        u: &DenseMatrix,
-        v: &DenseMatrix,
-        irregularity: f64,
-        out: &mut CsrMatrix,
-    ) -> Result<()> {
-        let stats = WorkStats::sddmm(mask.rows(), mask.nnz(), u.cols(), irregularity);
-        if self.compute {
-            self.engine
-                .run(stats, || ops::sddmm_into(mask, u, v, out))?;
-        } else {
-            if u.cols() != v.cols() || u.rows() != mask.rows() || v.rows() != mask.cols() {
-                return Err(MatrixError::ShapeMismatch {
-                    op: "sddmm",
-                    lhs: u.shape(),
-                    rhs: v.shape(),
-                }
-                .into());
-            }
-            check_csr_out("sddmm_into", mask, out)?;
-            self.engine.charge(stats);
-            zero_csr(out);
         }
         Ok(())
     }
@@ -643,58 +610,6 @@ impl<'e> Exec<'e> {
             self.engine.run(stats, || {
                 for (o, &v) in out.as_mut_slice().iter_mut().zip(m.as_slice()) {
                     *o = f(v);
-                }
-            });
-        } else {
-            self.engine.charge(stats);
-            out.as_mut_slice().fill(0.0);
-        }
-        Ok(())
-    }
-
-    /// [`Exec::map`] applied in place (`m = f(m)` element-wise); same charge.
-    pub fn map_assign(&self, m: &mut DenseMatrix, flops_per_elem: u32, f: impl Fn(f32) -> f32) {
-        let stats = WorkStats::elementwise(m.rows() * m.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || m.map_inplace(f));
-        } else {
-            self.engine.charge(stats);
-            m.as_mut_slice().fill(0.0);
-        }
-    }
-
-    /// [`Exec::zip`] writing into `out`; same charge, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors (including a mis-shaped `out`).
-    pub fn zip_into(
-        &self,
-        a: &DenseMatrix,
-        b: &DenseMatrix,
-        flops_per_elem: u32,
-        f: impl Fn(f32, f32) -> f32,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if a.shape() != b.shape() {
-            return Err(MatrixError::ShapeMismatch {
-                op: "zip_with",
-                lhs: a.shape(),
-                rhs: b.shape(),
-            }
-            .into());
-        }
-        check_dense_out("zip_into", a.shape(), out)?;
-        let stats = WorkStats::elementwise(a.rows() * a.cols(), flops_per_elem);
-        if self.compute {
-            self.engine.run(stats, || {
-                for ((o, &x), &y) in out
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(a.as_slice())
-                    .zip(b.as_slice())
-                {
-                    *o = f(x, y);
                 }
             });
         } else {

@@ -10,10 +10,13 @@
 //!   sweeps large configuration grids quickly,
 //! - [`ctx::GraphCtx`] caches per-graph state (self-loop form, degrees,
 //!   normalizers, irregularity),
-//! - [`models`] implements **GCN, GIN, SGC, TAGCN, GAT, and GraphSAGE**, each
-//!   with every primitive composition the paper's case study describes
-//!   (§III: dynamic-normalization vs precompute for GCN, reuse vs recompute
-//!   for GAT, update-first vs aggregate-first orderings),
+//! - [`spec`] names **GCN, GIN, SGC, TAGCN, GAT, and GraphSAGE** and every
+//!   primitive composition the paper's case study describes (§III:
+//!   dynamic-normalization vs precompute for GCN, reuse vs recompute for GAT,
+//!   update-first vs aggregate-first orderings), plus the one weight
+//!   initializer every executor draws parameters from; inference runs each
+//!   composition as a compiled candidate program in `granii-core`'s
+//!   `execplan`,
 //! - [`autodiff`] is a reverse-mode tape over the same primitives (gradients
 //!   of SpMM/SDDMM/softmax are themselves primitive compositions, as in DGL),
 //!   used for the training-mode evaluation (§VI-C),
@@ -29,7 +32,6 @@ pub mod autodiff;
 pub mod ctx;
 mod error;
 pub mod exec;
-pub mod models;
 pub mod spec;
 pub mod system;
 pub mod train;

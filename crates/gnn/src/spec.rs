@@ -6,9 +6,19 @@
 //! in cost, and which is cheapest depends on the input — that is the
 //! optimization space GRANII searches.
 
+use std::collections::BTreeMap;
+
+use granii_matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
 use crate::{GnnError, Result};
+
+/// Negative slope of GAT's attention LeakyReLU (the standard 0.2).
+pub const GAT_SLOPE: f32 = 0.2;
+
+/// Fixed epsilon of GIN's `(1 + ε)` self-term (DGL's default is 0; a small
+/// nonzero value keeps the term exercised).
+pub const GIN_EPS: f32 = 0.1;
 
 /// The GNN models of the paper's evaluation (§VI-B), plus GraphSAGE (§VI-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -96,6 +106,48 @@ impl LayerConfig {
         }
         Ok(())
     }
+}
+
+/// Deterministic initial parameters of one layer, keyed by the leaf names
+/// the model's candidate programs reference: `W` (GCN, SGC, GAT), `W1`/`W2`
+/// (GIN), per-hop `W0..=W{hops}` (TAGCN), `W_self`/`W_neigh` (SAGE), and
+/// GAT's attention vectors `a_l`/`a_r`. Every matrix is uniform in
+/// `±sqrt(2 / (k_in + k_out))`; the `i`-th matrix of a model is seeded
+/// `seed + i`. Inference and training both draw their parameters here, so
+/// the two compute with bitwise-identical weights under one seed.
+pub fn layer_weights(
+    kind: ModelKind,
+    cfg: LayerConfig,
+    seed: u64,
+) -> BTreeMap<String, DenseMatrix> {
+    let scale = (2.0 / (cfg.k_in + cfg.k_out) as f32).sqrt();
+    let (k_in, k_out) = (cfg.k_in, cfg.k_out);
+    let shapes: Vec<(String, usize, usize)> = match kind {
+        ModelKind::Gcn | ModelKind::Sgc => vec![("W".into(), k_in, k_out)],
+        ModelKind::Gin => vec![("W1".into(), k_in, k_out), ("W2".into(), k_out, k_out)],
+        ModelKind::Tagcn => (0..=cfg.hops)
+            .map(|k| (format!("W{k}"), k_in, k_out))
+            .collect(),
+        ModelKind::Gat => vec![
+            ("W".into(), k_in, k_out),
+            ("a_l".into(), k_out, 1),
+            ("a_r".into(), k_out, 1),
+        ],
+        ModelKind::Sage => vec![
+            ("W_self".into(), k_in, k_out),
+            ("W_neigh".into(), k_in, k_out),
+        ],
+    };
+    shapes
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, rows, cols))| {
+            (
+                name,
+                DenseMatrix::random(rows, cols, scale, seed + i as u64),
+            )
+        })
+        .collect()
 }
 
 /// How GCN-family layers handle degree normalization (paper §III-A).

@@ -18,9 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use granii_matrix::DenseMatrix;
 
-use crate::models::{GnnLayer, Prepared};
 use crate::spec::{Composition, GatStrategy, LayerConfig, ModelKind, NormStrategy, OpOrder};
-use crate::{Exec, GraphCtx, Result};
+use crate::{Exec, GraphCtx};
 
 /// The baseline GNN systems of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -93,6 +92,23 @@ impl System {
             System::Dgl => NormPath::Scan,
         })
     }
+
+    /// Charges the per-iteration normalization bookkeeping this system's
+    /// implementation of `kind` pays on every forward call: the binning or
+    /// scan degree computation plus the `d^{-1/2}` map. Models without
+    /// degree normalization pay nothing. A baseline iteration is this charge
+    /// followed by one iteration of the default composition's program.
+    pub fn charge_normalization(self, kind: ModelKind, exec: &Exec, ctx: &GraphCtx) {
+        if let Some(path) = self.normalization_path(kind) {
+            let degs = match path {
+                NormPath::Binning => exec.degrees_by_binning(ctx.adj()),
+                NormPath::Scan => exec.degrees_by_scan(ctx.adj()),
+            };
+            // d^{-1/2} map over the nodes.
+            let dm = DenseMatrix::from_vec(degs.len(), 1, degs).expect("length matches");
+            let _ = exec.map(&dm, 2, |v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 });
+        }
+    }
 }
 
 impl std::fmt::Display for System {
@@ -110,113 +126,10 @@ enum NormPath {
     Scan,
 }
 
-/// A model running under a baseline system's default choices.
-///
-/// # Example
-///
-/// ```
-/// use granii_gnn::system::{BaselineRunner, System};
-/// use granii_gnn::spec::{LayerConfig, ModelKind};
-/// use granii_gnn::{Exec, GraphCtx};
-/// use granii_graph::generators;
-/// use granii_matrix::device::{DeviceKind, Engine};
-/// use granii_matrix::DenseMatrix;
-///
-/// # fn main() -> Result<(), granii_gnn::GnnError> {
-/// let graph = generators::ring(10)?;
-/// let ctx = GraphCtx::new(&graph)?;
-/// let engine = Engine::modeled(DeviceKind::H100);
-/// let exec = Exec::real(&engine);
-/// let runner = BaselineRunner::new(System::Dgl, ModelKind::Gcn, LayerConfig::new(8, 4), 1, &exec, &ctx)?;
-/// let h = DenseMatrix::random(10, 8, 1.0, 2);
-/// let out = runner.iterate(&exec, &ctx, &h)?;
-/// assert_eq!(out.shape(), (10, 4));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct BaselineRunner {
-    system: System,
-    layer: GnnLayer,
-    comp: Composition,
-    prepared: Prepared,
-}
-
-impl BaselineRunner {
-    /// Builds the baseline: instantiates the layer, picks the system's default
-    /// composition, and runs its preparation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer construction/preparation errors.
-    pub fn new(
-        system: System,
-        kind: ModelKind,
-        cfg: LayerConfig,
-        seed: u64,
-        exec: &Exec,
-        ctx: &GraphCtx,
-    ) -> Result<Self> {
-        let layer = GnnLayer::new(kind, cfg, seed)?;
-        let comp = system.default_composition(kind, cfg);
-        let prepared = layer.prepare(exec, ctx, comp)?;
-        Ok(Self {
-            system,
-            layer,
-            comp,
-            prepared,
-        })
-    }
-
-    /// The composition the baseline runs.
-    pub fn composition(&self) -> Composition {
-        self.comp
-    }
-
-    /// The wrapped layer (same parameters GRANII's runner uses, for output
-    /// comparison).
-    pub fn layer(&self) -> &GnnLayer {
-        &self.layer
-    }
-
-    /// One baseline iteration: per-iteration normalization bookkeeping (the
-    /// binning/scan degree computation plus the `d^{-1/2}` map) followed by
-    /// the forward pass under the default composition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn iterate(&self, exec: &Exec, ctx: &GraphCtx, h: &DenseMatrix) -> Result<DenseMatrix> {
-        let _span = granii_telemetry::span!(
-            "baseline.iterate",
-            system = self.system.name(),
-            model = self.layer.kind().name(),
-            nodes = ctx.graph().num_nodes(),
-        );
-        granii_telemetry::counter_add("baseline.iterations", 1);
-        self.charge_normalization(exec, ctx);
-        self.layer.forward(exec, ctx, &self.prepared, h, self.comp)
-    }
-
-    /// Charges the per-iteration normalization work without running a forward
-    /// (used by the training harness, which forwards through the tape).
-    pub fn charge_normalization(&self, exec: &Exec, ctx: &GraphCtx) {
-        if let Some(path) = self.system.normalization_path(self.layer.kind()) {
-            let degs = match path {
-                NormPath::Binning => exec.degrees_by_binning(ctx.adj()),
-                NormPath::Scan => exec.degrees_by_scan(ctx.adj()),
-            };
-            // d^{-1/2} map over the nodes.
-            let dm = DenseMatrix::from_vec(degs.len(), 1, degs).expect("length matches");
-            let _ = exec.map(&dm, 2, |v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use granii_graph::{datasets::Dataset, datasets::Scale, generators};
+    use granii_graph::generators;
     use granii_matrix::device::{DeviceKind, Engine};
     use granii_matrix::PrimitiveKind;
 
@@ -256,115 +169,40 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wisegraph_charges_binning_every_iteration() {
+    fn normalization_kinds(system: System, kind: ModelKind) -> Vec<PrimitiveKind> {
         let g = generators::power_law(50, 4, 1).unwrap();
         let ctx = GraphCtx::new(&g).unwrap();
         let engine = Engine::modeled(DeviceKind::A100);
-        let exec = Exec::real(&engine);
-        let runner = BaselineRunner::new(
-            System::WiseGraph,
-            ModelKind::Gcn,
-            LayerConfig::new(8, 8),
-            1,
-            &exec,
-            &ctx,
-        )
-        .unwrap();
-        engine.take_profile();
-        let h = DenseMatrix::random(50, 8, 1.0, 2);
-        runner.iterate(&exec, &ctx, &h).unwrap();
-        runner.iterate(&exec, &ctx, &h).unwrap();
-        let binnings = engine
+        system.charge_normalization(kind, &Exec::real(&engine), &ctx);
+        engine
             .take_profile()
             .entries
             .iter()
-            .filter(|e| e.kind == PrimitiveKind::Binning)
-            .count();
-        assert_eq!(binnings, 2);
+            .map(|e| e.kind)
+            .collect()
+    }
+
+    #[test]
+    fn wisegraph_charges_binning_every_iteration() {
+        let kinds = normalization_kinds(System::WiseGraph, ModelKind::Gcn);
+        assert_eq!(
+            kinds,
+            [PrimitiveKind::Binning, PrimitiveKind::Elementwise],
+            "one binning pass plus the d^-1/2 map per call"
+        );
     }
 
     #[test]
     fn dgl_scans_instead_of_binning() {
-        let g = generators::power_law(50, 4, 1).unwrap();
-        let ctx = GraphCtx::new(&g).unwrap();
-        let engine = Engine::modeled(DeviceKind::A100);
-        let exec = Exec::real(&engine);
-        let runner = BaselineRunner::new(
-            System::Dgl,
-            ModelKind::Gcn,
-            LayerConfig::new(8, 8),
-            1,
-            &exec,
-            &ctx,
-        )
-        .unwrap();
-        engine.take_profile();
-        let h = DenseMatrix::random(50, 8, 1.0, 2);
-        runner.iterate(&exec, &ctx, &h).unwrap();
-        let kinds: Vec<_> = engine
-            .take_profile()
-            .entries
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        assert!(!kinds.contains(&PrimitiveKind::Binning));
+        let kinds = normalization_kinds(System::Dgl, ModelKind::Gcn);
+        assert!(!kinds.contains(&PrimitiveKind::Binning), "{kinds:?}");
+        assert!(!kinds.is_empty());
     }
 
     #[test]
     fn gin_pays_no_normalization() {
-        let g = generators::ring(20).unwrap();
-        let ctx = GraphCtx::new(&g).unwrap();
-        let engine = Engine::modeled(DeviceKind::H100);
-        let exec = Exec::real(&engine);
-        let runner = BaselineRunner::new(
-            System::WiseGraph,
-            ModelKind::Gin,
-            LayerConfig::new(4, 4),
-            1,
-            &exec,
-            &ctx,
-        )
-        .unwrap();
-        engine.take_profile();
-        let h = DenseMatrix::random(20, 4, 1.0, 2);
-        runner.iterate(&exec, &ctx, &h).unwrap();
-        let kinds: Vec<_> = engine
-            .take_profile()
-            .entries
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        assert!(!kinds.contains(&PrimitiveKind::Binning));
-    }
-
-    /// The §VI-C1 observation end-to-end: on a dense graph, WiseGraph's GCN
-    /// iteration is dominated by binning on the A100, and a precompute
-    /// composition that avoids it is much faster.
-    #[test]
-    fn binning_dominates_on_dense_graphs_a100() {
-        let g = Dataset::Mycielskian17.load(Scale::Tiny).unwrap();
-        let ctx = GraphCtx::new(&g).unwrap();
-        let engine = Engine::modeled(DeviceKind::A100);
-        let exec = Exec::virtual_only(&engine);
-        let cfg = LayerConfig::new(32, 32);
-        let h = DenseMatrix::zeros(ctx.num_nodes(), 32).unwrap();
-
-        let runner =
-            BaselineRunner::new(System::WiseGraph, ModelKind::Gcn, cfg, 1, &exec, &ctx).unwrap();
-        engine.take_profile();
-        runner.iterate(&exec, &ctx, &h).unwrap();
-        let baseline = engine.take_profile().total_seconds();
-
-        let layer = GnnLayer::new(ModelKind::Gcn, cfg, 1).unwrap();
-        let comp = Composition::Gcn(NormStrategy::Precompute, OpOrder::AggregateFirst);
-        let p = layer.prepare(&exec, &ctx, comp).unwrap();
-        engine.take_profile();
-        layer.forward(&exec, &ctx, &p, &h, comp).unwrap();
-        let granii = engine.take_profile().total_seconds();
-        assert!(
-            baseline > 2.0 * granii,
-            "baseline {baseline} vs granii {granii}"
-        );
+        for system in System::ALL {
+            assert!(normalization_kinds(system, ModelKind::Gin).is_empty());
+        }
     }
 }

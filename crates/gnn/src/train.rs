@@ -12,8 +12,10 @@ use std::sync::Arc;
 use granii_matrix::{DenseMatrix, Semiring};
 
 use crate::autodiff::{Tape, Var};
-use crate::models::GIN_EPS;
-use crate::spec::{Composition, GatStrategy, LayerConfig, ModelKind, NormStrategy, OpOrder};
+use crate::spec::{
+    layer_weights, Composition, GatStrategy, LayerConfig, ModelKind, NormStrategy, OpOrder,
+    GAT_SLOPE, GIN_EPS,
+};
 use crate::{Exec, GnnError, GraphCtx, Result};
 
 /// Trainable parameters of one layer, by model kind.
@@ -208,31 +210,30 @@ impl Trainer {
         if optimizer.learning_rate() <= 0.0 {
             return Err(GnnError::InvalidConfig("learning rate must be > 0".into()));
         }
-        let scale = (2.0 / (cfg.k_in + cfg.k_out) as f32).sqrt();
+        let mut weights = layer_weights(kind, cfg, seed);
+        let mut take = |name: &str| {
+            weights
+                .remove(name)
+                .expect("layer_weights names every parameter of the model")
+        };
         let params = match kind {
-            ModelKind::Gcn => Params::Gcn {
-                w: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-            },
+            ModelKind::Gcn => Params::Gcn { w: take("W") },
             ModelKind::Gin => Params::Gin {
-                w1: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                w2: DenseMatrix::random(cfg.k_out, cfg.k_out, scale, seed + 1),
+                w1: take("W1"),
+                w2: take("W2"),
             },
-            ModelKind::Sgc => Params::Sgc {
-                w: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-            },
+            ModelKind::Sgc => Params::Sgc { w: take("W") },
             ModelKind::Tagcn => Params::Tagcn {
-                ws: (0..=cfg.hops)
-                    .map(|k| DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed + k as u64))
-                    .collect(),
+                ws: (0..=cfg.hops).map(|k| take(&format!("W{k}"))).collect(),
             },
             ModelKind::Gat => Params::Gat {
-                w: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                a_l: DenseMatrix::random(cfg.k_out, 1, scale, seed + 1),
-                a_r: DenseMatrix::random(cfg.k_out, 1, scale, seed + 2),
+                w: take("W"),
+                a_l: take("a_l"),
+                a_r: take("a_r"),
             },
             ModelKind::Sage => Params::Sage {
-                w_self: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed),
-                w_neigh: DenseMatrix::random(cfg.k_in, cfg.k_out, scale, seed + 1),
+                w_self: take("W_self"),
+                w_neigh: take("W_neigh"),
             },
         };
         Ok(Self {
@@ -269,7 +270,7 @@ impl Trainer {
                 self.kind
             )));
         }
-        crate::models::check_input(ctx, h, self.cfg)?;
+        check_input(ctx, h, self.cfg)?;
         let _span = granii_telemetry::span!(
             "train.step",
             model = self.kind.name(),
@@ -319,7 +320,8 @@ impl Trainer {
         // Normalized propagation step shared by the GCN family. The dynamic
         // strategy differentiates through broadcasts; the precompute strategy
         // aggregates over the pre-scaled adjacency (built once outside the
-        // per-iteration tape, mirroring `models::Prepared`).
+        // per-iteration tape, mirroring the candidate program's hoisted
+        // setup).
         let norm_adj = |norm: NormStrategy| -> Arc<granii_matrix::CsrMatrix> {
             match norm {
                 NormStrategy::Precompute => Arc::new(
@@ -456,7 +458,7 @@ impl Trainer {
                 let ul = tape.gemm(theta, alv)?;
                 let vr = tape.gemm(theta, arv)?;
                 let logits = tape.sddmm_u_add_v(adj.clone(), ul, vr, irr)?;
-                let scored = tape.sparse_leaky_relu(logits, crate::models::GAT_SLOPE)?;
+                let scored = tape.sparse_leaky_relu(logits, GAT_SLOPE)?;
                 let alpha = tape.edge_softmax(scored, irr)?;
                 let z = match strategy {
                     GatStrategy::Reuse => tape.spmm_var(alpha, theta, irr)?,
@@ -516,6 +518,23 @@ impl Trainer {
     }
 }
 
+/// Validates the feature matrix against the graph and layer config.
+fn check_input(ctx: &GraphCtx, h: &DenseMatrix, cfg: LayerConfig) -> Result<()> {
+    if h.rows() != ctx.num_nodes() {
+        return Err(GnnError::FeatureMismatch {
+            nodes: ctx.num_nodes(),
+            rows: h.rows(),
+        });
+    }
+    if h.cols() != cfg.k_in {
+        return Err(GnnError::DimensionMismatch {
+            expected: cfg.k_in,
+            got: h.cols(),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,25 +572,6 @@ mod tests {
                 assert!(last < first, "{comp}: loss {first} -> {last}");
             }
         }
-    }
-
-    #[test]
-    fn training_charges_more_than_inference() {
-        let (ctx, engine, h, y) = setup();
-        let exec = Exec::real(&engine);
-        let comp = Composition::all_for(ModelKind::Gcn)[0];
-
-        let layer =
-            crate::models::GnnLayer::new(ModelKind::Gcn, LayerConfig::new(6, 4), 1).unwrap();
-        let p = layer.prepare(&exec, &ctx, comp).unwrap();
-        engine.take_profile();
-        layer.forward(&exec, &ctx, &p, &h, comp).unwrap();
-        let fwd = engine.take_profile().total_seconds();
-
-        let mut trainer = Trainer::new(ModelKind::Gcn, LayerConfig::new(6, 4), 1, 0.01).unwrap();
-        trainer.step(&exec, &ctx, &h, &y, comp).unwrap();
-        let train = engine.take_profile().total_seconds();
-        assert!(train > fwd, "training {train} must exceed inference {fwd}");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod parallel;
 mod semiring;
 mod simd;
 pub mod stats;
-pub mod workspace;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, RowStats};
@@ -54,7 +53,6 @@ pub use diag::DiagMatrix;
 pub use error::MatrixError;
 pub use semiring::{MulOp, ReduceOp, Semiring};
 pub use stats::{PrimitiveKind, WorkStats};
-pub use workspace::Workspace;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;

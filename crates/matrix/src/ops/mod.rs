@@ -14,8 +14,8 @@
 //! All kernels are deterministic: parallelism is over disjoint output rows.
 //!
 //! Every hot kernel also has a `*_into` variant writing into a caller-provided
-//! buffer (recycled via [`crate::Workspace`]); the allocating form delegates to
-//! it, so the two are bitwise identical. The `_into` forms are what the
+//! buffer; the allocating form delegates to it, so the two are bitwise
+//! identical. The `_into` forms are what the
 //! compile-once execution engine drives in steady state.
 
 mod batched;

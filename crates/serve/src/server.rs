@@ -1781,16 +1781,7 @@ fn bind_miss(
     let (composition, degraded, predicted) =
         choose_composition(&granii, request, cfg, expired, id)?;
     let plan = granii.compiled(request.model, cfg)?;
-    let candidate = plan
-        .candidates
-        .iter()
-        .find(|c| c.composition == composition)
-        .ok_or_else(|| {
-            CoreError::InvalidIr(format!(
-                "selected composition {} missing from compiled plan",
-                composition.name()
-            ))
-        })?;
+    let candidate = plan.candidate(composition)?;
     // The drift detector's reference point: what the current cost
     // models claim one steady-state iteration of this plan costs.
     // Unpredictable (degraded path) → None, which opts the

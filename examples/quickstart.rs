@@ -10,8 +10,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use granii::core::execplan::{ExecPlan, PlanInputs};
 use granii::core::{Granii, GraniiOptions};
-use granii::gnn::models::GnnLayer;
 use granii::gnn::spec::{LayerConfig, ModelKind};
 use granii::gnn::{Exec, GraphCtx};
 use granii::graph::generators;
@@ -38,14 +38,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  predicted {:.3} ms  {}", cost * 1e3, comp);
     }
 
-    // res = model(graph, node_feats) — run the selected composition with real
-    // kernels, measured on the host CPU.
+    // res = model(graph, node_feats) — bind the selected composition's
+    // compiled program to this input and run it with real kernels, measured
+    // on the host CPU.
+    let cfg = LayerConfig::new(64, 32);
+    let plan = granii.compiled(ModelKind::Gcn, cfg)?;
+    let program = &plan.candidate(decision.composition)?.program;
     let ctx = GraphCtx::new(&graph)?;
+    let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, node_feats, 1);
     let engine = Engine::cpu_measured();
     let exec = Exec::real(&engine);
-    let layer = GnnLayer::new(ModelKind::Gcn, LayerConfig::new(64, 32), 1)?;
-    let prepared = layer.prepare(&exec, &ctx, decision.composition)?;
-    let out = layer.forward(&exec, &ctx, &prepared, &node_feats, decision.composition)?;
+    let mut bound = ExecPlan::build(program)?.bind(&exec, &inputs.as_program_inputs())?;
+    let out = bound.iterate(&exec)?;
     println!(
         "forward done: output {}x{}, measured {:.2} ms on the CPU",
         out.rows(),

@@ -8,9 +8,9 @@
 //!
 //! Run with `cargo run --release --example road_network`.
 
+use granii::core::execplan::{ExecPlan, PlanInputs};
 use granii::core::{Granii, GraniiOptions};
-use granii::gnn::models::GnnLayer;
-use granii::gnn::spec::{Composition, LayerConfig, ModelKind};
+use granii::gnn::spec::{LayerConfig, ModelKind};
 use granii::gnn::{Exec, GraphCtx};
 use granii::graph::generators;
 use granii::matrix::device::{DeviceKind, Engine};
@@ -34,15 +34,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sel = granii.select(ModelKind::Gcn, &graph, cfg.k_in, cfg.k_out)?;
         println!("\n[{device}] GRANII picks {}", sel.composition_name());
 
-        // Modeled latency of every composition over a 100-iteration run.
+        // Modeled latency of every candidate program over a 100-iteration
+        // run: its hoisted setup once, then 100 iterations.
         let engine = Engine::modeled(device);
         let exec = Exec::virtual_only(&engine);
-        let layer = GnnLayer::new(ModelKind::Gcn, cfg, 2)?;
-        for comp in Composition::all_for(ModelKind::Gcn) {
+        let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, h.clone(), 2);
+        for candidate in &granii.compiled(ModelKind::Gcn, cfg)?.candidates {
+            let comp = candidate.composition;
             engine.take_profile();
-            let prepared = layer.prepare(&exec, &ctx, comp)?;
+            let mut bound =
+                ExecPlan::build(&candidate.program)?.bind(&exec, &inputs.as_program_inputs())?;
             let prep = engine.take_profile().total_seconds();
-            layer.forward(&exec, &ctx, &prepared, &h, comp)?;
+            bound.iterate(&exec)?;
             let iter = engine.take_profile().total_seconds();
             let total = prep + 100.0 * iter;
             let marker = if comp == sel.composition {

@@ -5,8 +5,8 @@
 //!
 //! Run with `cargo run --release --example sampled_sage`.
 
+use granii::core::execplan::{ExecPlan, PlanInputs};
 use granii::core::{Granii, GraniiOptions};
-use granii::gnn::models::GnnLayer;
 use granii::gnn::spec::{LayerConfig, ModelKind};
 use granii::gnn::{Exec, GraphCtx};
 use granii::graph::{generators, sampling};
@@ -46,12 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let sampled = sampling::sample_neighbors(&graph, 10, 123)?;
     let ctx = GraphCtx::new(&sampled)?;
+    let cfg = LayerConfig::new(64, 32);
+    let plan = granii.compiled(ModelKind::Sage, cfg)?;
+    let program = &plan.candidate(full_decision.composition)?.program;
+    let h = DenseMatrix::random(sampled.num_nodes(), 64, 1.0, 2);
+    let inputs = PlanInputs::for_model(ModelKind::Sage, cfg, &ctx, h, 9);
     let engine = Engine::cpu_measured();
     let exec = Exec::real(&engine);
-    let layer = GnnLayer::new(ModelKind::Sage, LayerConfig::new(64, 32), 9)?;
-    let h = DenseMatrix::random(sampled.num_nodes(), 64, 1.0, 2);
-    let prepared = layer.prepare(&exec, &ctx, full_decision.composition)?;
-    let out = layer.forward(&exec, &ctx, &prepared, &h, full_decision.composition)?;
+    let mut bound = ExecPlan::build(program)?.bind(&exec, &inputs.as_program_inputs())?;
+    let out = bound.iterate(&exec)?;
     println!(
         "SAGE forward on the sampled graph: output {}x{}, {:.1} ms measured",
         out.rows(),

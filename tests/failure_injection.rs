@@ -3,9 +3,11 @@
 
 use granii::boost::{BoostError, Dataset as BoostDataset};
 use granii::core::cost::CostModelSet;
+use granii::core::execplan::{ExecPlan, PlanInputs};
+use granii::core::plan::CompiledModel;
 use granii::core::{CoreError, Granii, GraniiOptions};
-use granii::gnn::models::{GnnLayer, Prepared};
 use granii::gnn::spec::{Composition, LayerConfig, ModelKind};
+use granii::gnn::train::Trainer;
 use granii::gnn::{Exec, GnnError, GraphCtx};
 use granii::graph::{generators, io, Graph, GraphError};
 use granii::matrix::device::{DeviceKind, Engine};
@@ -47,30 +49,72 @@ fn graph_layer_rejects_bad_inputs() {
     ));
 }
 
+/// Binding a candidate program checks the features against the graph and
+/// the layer before the hoisted setup or any GEMM is charged: a 10-row `H`
+/// on a 40-node graph, or a 5-column `H` for `k_in = 8`, is a typed GNN
+/// error from `bind`, for every model and candidate.
 #[test]
 fn gnn_layer_rejects_mismatched_features_and_compositions() {
-    let g = generators::ring(10).unwrap();
+    let g = generators::power_law(40, 3, 5).unwrap();
     let ctx = GraphCtx::new(&g).unwrap();
     let engine = Engine::modeled(DeviceKind::Cpu);
     let exec = Exec::real(&engine);
-    let layer = GnnLayer::new(ModelKind::Gcn, LayerConfig::new(4, 2), 1).unwrap();
-    let comp = Composition::all_for(ModelKind::Gcn)[0];
-    let p = layer.prepare(&exec, &ctx, comp).unwrap();
-
-    let wrong_rows = DenseMatrix::zeros(3, 4).unwrap();
-    assert!(matches!(
-        layer.forward(&exec, &ctx, &p, &wrong_rows, comp),
-        Err(GnnError::FeatureMismatch { .. })
-    ));
-    let wrong_cols = DenseMatrix::zeros(10, 7).unwrap();
-    assert!(matches!(
-        layer.forward(&exec, &ctx, &p, &wrong_cols, comp),
-        Err(GnnError::DimensionMismatch { .. })
-    ));
-    let alien = Composition::all_for(ModelKind::Gat)[0];
-    assert!(layer
-        .forward(&exec, &ctx, &Prepared::default(), &wrong_cols, alien)
-        .is_err());
+    let cfg = LayerConfig::new(8, 6);
+    for kind in [
+        ModelKind::Gcn,
+        ModelKind::Gin,
+        ModelKind::Sgc,
+        ModelKind::Tagcn,
+        ModelKind::Gat,
+        ModelKind::Sage,
+    ] {
+        let plan = CompiledModel::compile(kind, cfg).unwrap();
+        for cand in &plan.candidates {
+            let exec_plan = ExecPlan::build(&cand.program).unwrap();
+            let bind = |rows, cols| {
+                let h = DenseMatrix::zeros(rows, cols).unwrap();
+                let inputs = PlanInputs::for_model(kind, cfg, &ctx, h, 1);
+                exec_plan
+                    .bind(&exec, &inputs.as_program_inputs())
+                    .map(|_| ())
+            };
+            let comp = cand.composition;
+            assert!(
+                matches!(
+                    bind(10, 8),
+                    Err(CoreError::Gnn(GnnError::FeatureMismatch {
+                        nodes: 40,
+                        rows: 10
+                    }))
+                ),
+                "{comp}"
+            );
+            assert!(
+                matches!(
+                    bind(40, 5),
+                    Err(CoreError::Gnn(GnnError::DimensionMismatch {
+                        expected: 8,
+                        got: 5
+                    }))
+                ),
+                "{comp}"
+            );
+            assert_eq!(
+                engine.elapsed_seconds(),
+                0.0,
+                "{comp} charged before failing"
+            );
+        }
+        let alien = Composition::all_for(if kind == ModelKind::Gat {
+            ModelKind::Gcn
+        } else {
+            ModelKind::Gat
+        })[0];
+        assert!(matches!(
+            plan.candidate(alien),
+            Err(CoreError::InvalidIr(_))
+        ));
+    }
 }
 
 #[test]
@@ -121,7 +165,8 @@ fn corrupt_cost_model_json_is_a_typed_error() {
 
 #[test]
 fn invalid_layer_configs_are_rejected_everywhere() {
-    assert!(GnnLayer::new(ModelKind::Gcn, LayerConfig::new(0, 8), 1).is_err());
+    assert!(Trainer::new(ModelKind::Gcn, LayerConfig::new(0, 8), 1, 0.01).is_err());
+    assert!(CompiledModel::compile(ModelKind::Gcn, LayerConfig::new(0, 8)).is_err());
     let granii = Granii::train_for_device(DeviceKind::Cpu, GraniiOptions::fast()).unwrap();
     let g = generators::ring(5).unwrap();
     assert!(granii.select(ModelKind::Gcn, &g, 8, 0).is_err());

@@ -1,16 +1,17 @@
 //! Cross-crate integration tests: the full GRANII pipeline from model spec to
 //! executed kernels, checked against reference executions.
 
+use granii::core::execplan::{ExecPlan, PlanInputs};
 use granii::core::plan::CompiledModel;
 use granii::core::{Granii, GraniiOptions};
-use granii::gnn::models::GnnLayer;
 use granii::gnn::spec::{Composition, LayerConfig, ModelKind};
-use granii::gnn::system::{BaselineRunner, System};
+use granii::gnn::system::System;
 use granii::gnn::train::Trainer;
 use granii::gnn::{Exec, GraphCtx};
 use granii::graph::datasets::{Dataset, Scale};
 use granii::matrix::device::{DeviceKind, Engine};
 use granii::matrix::DenseMatrix;
+use granii_bench::runner::{baseline_iterate, bind_composition};
 
 fn trained(device: DeviceKind) -> Granii {
     Granii::train_for_device(device, GraniiOptions::fast()).expect("offline stage")
@@ -31,17 +32,18 @@ fn selected_composition_matches_baseline_output() {
 
     for kind in ModelKind::EVAL {
         let selection = granii.select(kind, &graph, cfg.k_in, cfg.k_out).unwrap();
-        let layer = GnnLayer::new(kind, cfg, 42).unwrap();
-        let prepared = layer.prepare(&exec, &ctx, selection.composition).unwrap();
-        let ours = layer
-            .forward(&exec, &ctx, &prepared, &h, selection.composition)
-            .unwrap();
-
-        let baseline_comp = System::Dgl.default_composition(kind, cfg);
-        let prepared_b = layer.prepare(&exec, &ctx, baseline_comp).unwrap();
-        let reference = layer
-            .forward(&exec, &ctx, &prepared_b, &h, baseline_comp)
-            .unwrap();
+        let plan = granii.compiled(kind, cfg).unwrap();
+        let inputs = PlanInputs::for_model(kind, cfg, &ctx, h.clone(), 42);
+        let run = |comp: Composition| {
+            let program = &plan.candidate(comp).unwrap().program;
+            let mut bound = ExecPlan::build(program)
+                .unwrap()
+                .bind(&exec, &inputs.as_program_inputs())
+                .unwrap();
+            bound.iterate(&exec).unwrap().clone()
+        };
+        let ours = run(selection.composition);
+        let reference = run(System::Dgl.default_composition(kind, cfg));
 
         let diff = ours.max_abs_diff(&reference).unwrap();
         assert!(diff < 1e-3, "{kind}: GRANII output diverges by {diff}");
@@ -109,12 +111,15 @@ fn wisegraph_binning_is_visible_in_baselines() {
     let cfg = LayerConfig::new(32, 32);
     let h = DenseMatrix::zeros(graph.num_nodes(), 32).unwrap();
 
+    let plan = CompiledModel::compile(ModelKind::Gcn, cfg).unwrap();
+    let inputs = PlanInputs::for_model(ModelKind::Gcn, cfg, &ctx, h, 1);
     let time_for = |system: System| {
         let engine = Engine::modeled(DeviceKind::A100);
         let exec = Exec::virtual_only(&engine);
-        let runner = BaselineRunner::new(system, ModelKind::Gcn, cfg, 1, &exec, &ctx).unwrap();
+        let comp = system.default_composition(ModelKind::Gcn, cfg);
+        let mut bound = bind_composition(&exec, &plan, comp, &inputs).unwrap();
         engine.take_profile();
-        runner.iterate(&exec, &ctx, &h).unwrap();
+        baseline_iterate(system, ModelKind::Gcn, &exec, &ctx, &mut bound).unwrap();
         engine.take_profile().total_seconds()
     };
     assert!(time_for(System::WiseGraph) > 1.5 * time_for(System::Dgl));
