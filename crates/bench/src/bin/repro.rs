@@ -158,9 +158,9 @@ fn main() {
             let snapshot = granii_telemetry::metrics_snapshot();
             match std::fs::write(path, granii_telemetry::export::metrics_json(&snapshot)) {
                 Ok(()) => eprintln!(
-                    "[metrics] {} counters, {} histograms -> {path}",
+                    "[metrics] {} counters, {} sketches -> {path}",
                     snapshot.counters.len(),
-                    snapshot.histograms.len()
+                    snapshot.sketches.len()
                 ),
                 Err(e) => eprintln!("[metrics] failed to write {path}: {e}"),
             }

@@ -170,8 +170,8 @@ pub fn usage() -> String {
                  a human-readable timeline\n\
      global observability flags (any command):\n\
        --trace-out FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n\
-       --metrics-out FILE   write counters, latency histograms, quantile\n\
-                 sketches (p50-p999), and distinct-count estimates as JSON\n\
+       --metrics-out FILE   write counters, gauges, latency quantile sketches\n\
+                 (p50-p999), and distinct-count estimates as JSON\n\
        --events-out FILE    write structured events (enqueue/shed/drift/...) as JSONL\n\
        --trace-summary      append a hierarchical span summary (plus sketch\n\
                  quantile and distinct-count tables, when recorded) to the output"
@@ -283,9 +283,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             .map_err(|e| format!("write {path}: {e}"))?;
         writeln!(
             out,
-            "metrics: {} counters, {} histograms, {} sketches -> {path}",
+            "metrics: {} counters, {} sketches -> {path}",
             snapshot.counters.len(),
-            snapshot.histograms.len(),
             snapshot.sketches.len()
         )
         .expect("fmt");

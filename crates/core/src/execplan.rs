@@ -321,7 +321,7 @@ impl ExecPlan {
             )));
         }
         granii_telemetry::counter_add("execplan.instructions", (setup.len() + iter.len()) as u64);
-        granii_telemetry::histogram_record_seconds("execplan.build", t0.elapsed().as_secs_f64());
+        granii_telemetry::sketch_record_seconds("execplan.build", t0.elapsed().as_secs_f64());
         Ok(Self {
             expr: program.expr.clone(),
             values: b.values,
@@ -598,7 +598,7 @@ impl ExecPlan {
             let host_ns = start.elapsed().as_nanos() as u64;
             bound.setup_stats[i].absorb(host_ns, &exec.charged_since(mark));
         }
-        granii_telemetry::histogram_record_seconds("execplan.bind", t0.elapsed().as_secs_f64());
+        granii_telemetry::sketch_record_seconds("execplan.bind", t0.elapsed().as_secs_f64());
         Ok(bound)
     }
 }
@@ -1047,10 +1047,7 @@ impl BoundPlan {
                 )?;
             }
         }
-        granii_telemetry::histogram_record_seconds(
-            "execplan.iteration",
-            t0.elapsed().as_secs_f64(),
-        );
+        granii_telemetry::sketch_record_seconds("execplan.iteration", t0.elapsed().as_secs_f64());
         granii_telemetry::counter_add("execplan.iterations", 1);
         self.output()
     }
@@ -1216,10 +1213,7 @@ impl BoundPlan {
                 )?;
             }
         }
-        granii_telemetry::histogram_record_seconds(
-            "execplan.iteration",
-            t0.elapsed().as_secs_f64(),
-        );
+        granii_telemetry::sketch_record_seconds("execplan.iteration", t0.elapsed().as_secs_f64());
         granii_telemetry::counter_add("execplan.iterations", batch as u64);
         Ok(())
     }

@@ -123,10 +123,7 @@ pub fn select(
         predicted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
     }
     let select_seconds = eligible_seconds + t1.elapsed().as_secs_f64();
-    granii_telemetry::histogram_record_seconds(
-        "select.overhead",
-        featurize_seconds + select_seconds,
-    );
+    granii_telemetry::sketch_record_seconds("select.overhead", featurize_seconds + select_seconds);
 
     let selection = Selection {
         composition: predicted[0].0,

@@ -364,7 +364,7 @@ impl Engine {
         span.attr("charged_s", seconds);
         drop(span);
         granii_telemetry::counter_add("engine.kernels", 1);
-        granii_telemetry::histogram_record_seconds(stats.kind.span_name(), seconds);
+        granii_telemetry::sketch_record_seconds(stats.kind.span_name(), seconds);
         self.profile.lock().entries.push(ProfileEntry {
             kind: stats.kind,
             seconds,
@@ -387,7 +387,7 @@ impl Engine {
             charged_s = seconds,
         );
         granii_telemetry::counter_add("engine.kernels", 1);
-        granii_telemetry::histogram_record_seconds(stats.kind.span_name(), seconds);
+        granii_telemetry::sketch_record_seconds(stats.kind.span_name(), seconds);
         self.profile.lock().entries.push(ProfileEntry {
             kind: stats.kind,
             seconds,

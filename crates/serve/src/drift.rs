@@ -27,12 +27,11 @@
 //! `serve.drift_flagged`, emits a structured `serve.drift` event, and
 //! invalidates the signature's plan-cache entry so the next request
 //! re-selects. A per-signature cooldown keeps a persistently-broken model
-//! from turning every request into a flag + invalidation storm.
-
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+//! from turning every request into a flag + invalidation storm. The gate
+//! itself is shared with the input-drift lane ([`crate::detector`]).
 
 use crate::cache::PlanKey;
+use crate::detector::Detector;
 
 /// Tuning knobs for the drift detector. Defaults are deliberately
 /// conservative: a flag requires the smoothed residual to sit beyond a 2×
@@ -68,17 +67,11 @@ impl Default for DriftConfig {
     }
 }
 
-/// Per-signature residual state. Survives plan-cache invalidation on
-/// purpose: the cooldown must keep counting across the re-selection the
-/// flag triggered, otherwise a still-broken model re-flags immediately.
+/// Per-signature residual signal.
 #[derive(Debug, Clone, Copy)]
-struct SigState {
+struct Residual {
     ewma: f64,
-    last_residual: f64,
-    samples: u64,
-    consecutive: u32,
-    cooldown: u32,
-    flags: u64,
+    last: f64,
 }
 
 /// What `observe` decided for one request.
@@ -115,7 +108,7 @@ pub struct DriftRow {
 /// that has a steady-state prediction.
 pub struct DriftDetector {
     config: DriftConfig,
-    states: Mutex<BTreeMap<PlanKey, SigState>>,
+    detector: Detector<Residual>,
 }
 
 impl DriftDetector {
@@ -123,7 +116,12 @@ impl DriftDetector {
     pub fn new(config: DriftConfig) -> Self {
         DriftDetector {
             config,
-            states: Mutex::new(BTreeMap::new()),
+            detector: Detector::new(
+                config.enabled,
+                config.min_samples,
+                config.k_consecutive,
+                config.cooldown,
+            ),
         }
     }
 
@@ -141,9 +139,6 @@ impl DriftDetector {
         measured_seconds: f64,
         predicted_seconds: f64,
     ) -> DriftVerdict {
-        if !self.config.enabled {
-            return DriftVerdict::Ok;
-        }
         if !(measured_seconds.is_finite()
             && measured_seconds > 0.0
             && predicted_seconds.is_finite()
@@ -152,71 +147,47 @@ impl DriftDetector {
             return DriftVerdict::Ok;
         }
         let residual = measured_seconds.ln() - predicted_seconds.ln();
-        let mut states = self.lock();
-        let state = states.entry(key).or_insert(SigState {
-            ewma: residual,
-            last_residual: residual,
-            samples: 0,
-            consecutive: 0,
-            cooldown: 0,
-            flags: 0,
-        });
-        state.samples += 1;
-        state.last_residual = residual;
-        if state.samples > 1 {
-            state.ewma = self.config.alpha * residual + (1.0 - self.config.alpha) * state.ewma;
-        }
-        if state.cooldown > 0 {
-            state.cooldown -= 1;
-            state.consecutive = 0;
-            return DriftVerdict::Ok;
-        }
-        let over = state.ewma.abs() > self.config.threshold;
-        if over && state.samples >= u64::from(self.config.min_samples) {
-            state.consecutive += 1;
-        } else {
-            state.consecutive = 0;
-        }
-        if state.consecutive >= self.config.k_consecutive.max(1) {
-            state.consecutive = 0;
-            state.cooldown = self.config.cooldown;
-            state.flags += 1;
-            DriftVerdict::Flagged {
-                ewma_residual: state.ewma,
-            }
-        } else {
-            DriftVerdict::Ok
-        }
+        let config = &self.config;
+        let flagged = self.detector.observe(
+            key,
+            || Residual {
+                ewma: residual,
+                last: residual,
+            },
+            |signal, samples| {
+                signal.last = residual;
+                if samples > 1 {
+                    signal.ewma = config.alpha * residual + (1.0 - config.alpha) * signal.ewma;
+                }
+                signal.ewma.abs() > config.threshold
+            },
+        );
+        flagged.map_or(DriftVerdict::Ok, |signal| DriftVerdict::Flagged {
+            ewma_residual: signal.ewma,
+        })
     }
 
     /// Total flags raised across all signatures.
     pub fn total_flags(&self) -> u64 {
-        self.lock().values().map(|s| s.flags).sum()
+        self.detector.total_flags()
     }
 
     /// Snapshot of every tracked signature, sorted by key (status surface).
     pub fn rows(&self) -> Vec<DriftRow> {
-        self.lock()
-            .iter()
-            .map(|(key, s)| DriftRow {
-                key: *key,
-                ewma_residual: s.ewma,
-                last_residual: s.last_residual,
-                samples: s.samples,
-                flags: s.flags,
-                cooldown: s.cooldown,
-            })
-            .collect()
+        self.detector.rows(|key, signal, state| DriftRow {
+            key,
+            ewma_residual: signal.ewma,
+            last_residual: signal.last,
+            samples: state.samples,
+            flags: state.flags,
+            cooldown: state.cooldown,
+        })
     }
 
     /// Drops all per-signature state (model hot-swap: residual history from
     /// the old model says nothing about the new one).
     pub fn reset(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<PlanKey, SigState>> {
-        self.states.lock().unwrap_or_else(PoisonError::into_inner)
+        self.detector.reset();
     }
 }
 

@@ -22,19 +22,17 @@
 //! **degree-CV delta** (a single injected hub barely moves band mass but
 //! explodes the coefficient of variation). Either crossing its threshold
 //! counts as divergence; sustained divergence — `k_consecutive` times after
-//! a `min_samples` warmup, same discipline as the residual lane — **flags**
-//! the signature: the server invalidates its cached plan (forcing
-//! re-selection on the graph as it is now), bumps
+//! a `min_samples` warmup, through the gate the residual lane also uses
+//! ([`crate::detector`]) — **flags** the signature: the server invalidates
+//! its cached plan (forcing re-selection on the graph as it is now), bumps
 //! `serve.input_drift_flagged`, and emits a structured `serve.input_drift`
 //! event. A per-signature cooldown rate-limits flag storms while the tenant
 //! keeps mutating.
 
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
-
 use granii_graph::{Graph, GraphFeatures};
 
 use crate::cache::PlanKey;
+use crate::detector::Detector;
 
 /// Number of degree bands tracked: empty, (0,8], (8,64], (64,512], >512.
 pub const DEGREE_BANDS: usize = 5;
@@ -138,19 +136,26 @@ impl Default for InspectConfig {
     }
 }
 
-/// Per-signature inspection state. Unlike the residual lane, the state is
+/// Per-signature inspection signal. Unlike the residual lane, it is
 /// (re)anchored on every cache miss: re-selection inspects the graph as it
 /// is now, so the new plan's reference must be the new profile.
 #[derive(Debug, Clone, Copy)]
-struct SigState {
+struct Profiles {
     reference: InputProfile,
     live: InputProfile,
-    samples: u64,
-    consecutive: u32,
-    cooldown: u32,
-    flags: u64,
-    last_band_l1: f64,
-    last_cv_delta: f64,
+    band_l1: f64,
+    cv_delta: f64,
+}
+
+impl Profiles {
+    fn anchored(profile: InputProfile) -> Self {
+        Profiles {
+            reference: profile,
+            live: profile,
+            band_l1: 0.0,
+            cv_delta: 0.0,
+        }
+    }
 }
 
 /// What `observe` decided for one request.
@@ -166,6 +171,10 @@ pub enum InspectVerdict {
         band_l1: f64,
         /// Absolute degree-CV delta at flag time.
         cv_delta: f64,
+        /// The live profile at flag time.
+        live: InputProfile,
+        /// The selection-time reference profile.
+        reference: InputProfile,
     },
 }
 
@@ -195,7 +204,7 @@ pub struct InputRow {
 /// time and [`InputInspector::observe`] once per served request.
 pub struct InputInspector {
     config: InspectConfig,
-    states: Mutex<BTreeMap<PlanKey, SigState>>,
+    detector: Detector<Profiles>,
 }
 
 impl InputInspector {
@@ -203,7 +212,12 @@ impl InputInspector {
     pub fn new(config: InspectConfig) -> Self {
         InputInspector {
             config,
-            states: Mutex::new(BTreeMap::new()),
+            detector: Detector::new(
+                config.enabled,
+                config.min_samples,
+                config.k_consecutive,
+                config.cooldown,
+            ),
         }
     }
 
@@ -218,107 +232,58 @@ impl InputInspector {
     /// cooldown survive, so a flapping tenant cannot reset its own rate
     /// limit by triggering re-selection.
     pub fn rebind(&self, key: PlanKey, profile: InputProfile) {
-        if !self.config.enabled {
-            return;
-        }
-        let mut states = self.lock();
-        let state = states.entry(key).or_insert(SigState {
-            reference: profile,
-            live: profile,
-            samples: 0,
-            consecutive: 0,
-            cooldown: 0,
-            flags: 0,
-            last_band_l1: 0.0,
-            last_cv_delta: 0.0,
-        });
-        state.reference = profile;
-        state.live = profile;
-        state.samples = 0;
-        state.consecutive = 0;
-        state.last_band_l1 = 0.0;
-        state.last_cv_delta = 0.0;
+        self.detector.rebind(key, Profiles::anchored(profile));
     }
 
     /// Folds one request's profile into `key`'s live state and checks it
     /// against the selection-time reference. A key never rebound (inspector
     /// enabled mid-flight) is anchored on first observation.
     pub fn observe(&self, key: PlanKey, profile: &InputProfile) -> InspectVerdict {
-        if !self.config.enabled {
-            return InspectVerdict::Ok;
-        }
-        let mut states = self.lock();
-        let state = states.entry(key).or_insert(SigState {
-            reference: *profile,
-            live: *profile,
-            samples: 0,
-            consecutive: 0,
-            cooldown: 0,
-            flags: 0,
-            last_band_l1: 0.0,
-            last_cv_delta: 0.0,
-        });
-        state.samples += 1;
-        if state.samples > 1 {
-            state.live.fold(profile, self.config.alpha);
-        } else {
-            state.live = *profile;
-        }
-        let band_l1 = state.live.band_l1(&state.reference);
-        let cv_delta = (state.live.degree_cv - state.reference.degree_cv).abs();
-        state.last_band_l1 = band_l1;
-        state.last_cv_delta = cv_delta;
-        if state.cooldown > 0 {
-            state.cooldown -= 1;
-            state.consecutive = 0;
-            return InspectVerdict::Ok;
-        }
-        let diverged =
-            band_l1 > self.config.band_l1_threshold || cv_delta > self.config.cv_threshold;
-        if diverged && state.samples >= u64::from(self.config.min_samples) {
-            state.consecutive += 1;
-        } else {
-            state.consecutive = 0;
-        }
-        if state.consecutive >= self.config.k_consecutive.max(1) {
-            state.consecutive = 0;
-            state.cooldown = self.config.cooldown;
-            state.flags += 1;
-            InspectVerdict::Flagged { band_l1, cv_delta }
-        } else {
-            InspectVerdict::Ok
-        }
+        let config = &self.config;
+        let flagged = self.detector.observe(
+            key,
+            || Profiles::anchored(*profile),
+            |signal, samples| {
+                if samples > 1 {
+                    signal.live.fold(profile, config.alpha);
+                } else {
+                    signal.live = *profile;
+                }
+                signal.band_l1 = signal.live.band_l1(&signal.reference);
+                signal.cv_delta = (signal.live.degree_cv - signal.reference.degree_cv).abs();
+                signal.band_l1 > config.band_l1_threshold || signal.cv_delta > config.cv_threshold
+            },
+        );
+        flagged.map_or(InspectVerdict::Ok, |signal| InspectVerdict::Flagged {
+            band_l1: signal.band_l1,
+            cv_delta: signal.cv_delta,
+            live: signal.live,
+            reference: signal.reference,
+        })
     }
 
     /// Total flags raised across all signatures.
     pub fn total_flags(&self) -> u64 {
-        self.lock().values().map(|s| s.flags).sum()
+        self.detector.total_flags()
     }
 
     /// Snapshot of every tracked signature, sorted by key (status surface).
     pub fn rows(&self) -> Vec<InputRow> {
-        self.lock()
-            .iter()
-            .map(|(key, s)| InputRow {
-                key: *key,
-                reference: s.reference,
-                live: s.live,
-                band_l1: s.last_band_l1,
-                cv_delta: s.last_cv_delta,
-                samples: s.samples,
-                flags: s.flags,
-                cooldown: s.cooldown,
-            })
-            .collect()
+        self.detector.rows(|key, signal, state| InputRow {
+            key,
+            reference: signal.reference,
+            live: signal.live,
+            band_l1: signal.band_l1,
+            cv_delta: signal.cv_delta,
+            samples: state.samples,
+            flags: state.flags,
+            cooldown: state.cooldown,
+        })
     }
 
     /// Drops all per-signature state (model hot-swap).
     pub fn reset(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<PlanKey, SigState>> {
-        self.states.lock().unwrap_or_else(PoisonError::into_inner)
+        self.detector.reset();
     }
 }
 
@@ -387,8 +352,9 @@ mod tests {
         inspector.rebind(key(), uniform());
         let mut flagged_at = None;
         for i in 1..=20u32 {
-            if let InspectVerdict::Flagged { band_l1, cv_delta } =
-                inspector.observe(key(), &hubby())
+            if let InspectVerdict::Flagged {
+                band_l1, cv_delta, ..
+            } = inspector.observe(key(), &hubby())
             {
                 assert!(band_l1 > 0.25 || cv_delta > 0.75);
                 flagged_at = Some(i);

@@ -20,8 +20,8 @@
 //!   is checked once, when its batch group forms.
 //! - **Continuous batching**: workers drain whatever is queued (up to
 //!   `ServeConfig::max_batch`), coalesce requests by plan signature, and
-//!   execute each group as ONE multi-RHS `iterate` over column-stacked
-//!   blocks — bitwise identical to serial per-request execution, with the
+//!   execute each group of two or more as ONE multi-RHS `iterate` over
+//!   column-stacked blocks — bitwise identical to serial execution, with the
 //!   adjacency streamed once per group instead of once per request.
 //! - **Graceful degradation**: an expired deadline or a cost-model
 //!   prediction failure falls back to the plan's default composition (the
@@ -105,6 +105,7 @@
 //! ```
 
 mod cache;
+mod detector;
 mod drift;
 mod error;
 mod fairness;

@@ -1238,9 +1238,10 @@ fn worker_loop(inner: &Inner, index: usize) {
     }
 }
 
-/// Executes one signature-coalesced group: the serial path for a group of
-/// one, the multi-RHS batched path otherwise (with a per-member serial
-/// fallback if batched execution errors).
+/// Executes one signature-coalesced group, a group of one included. A
+/// failed group of one replies its typed error; a failed larger group
+/// retries each member as a group of one, so one member's failure cannot
+/// sink its whole group.
 fn process_group(inner: &Inner, exec: &Exec, jobs: Vec<Job>) {
     let batch = jobs.len();
     inner.batch_sizes.record_ns(batch as u64);
@@ -1264,55 +1265,59 @@ fn process_group(inner: &Inner, exec: &Exec, jobs: Vec<Job>) {
             members,
         },
     );
+    if batch > 1 {
+        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+        inner
+            .counters
+            .batched_requests
+            .fetch_add(batch as u64, Ordering::Relaxed);
+        granii_telemetry::counter_add("serve.batches", 1);
+        granii_telemetry::counter_add("serve.batched_requests", batch as u64);
+    }
+    let Err((jobs, error)) = process_batch(inner, exec, jobs) else {
+        return;
+    };
     if batch == 1 {
-        let job = jobs.into_iter().next().expect("group of one");
-        let id = job.id;
-        let reply = job.reply.clone();
-        let result = process_job(inner, exec, job);
-        finish_job(inner, id, key, &reply, result);
+        finish_job(inner, jobs[0].id, key, &jobs[0].reply, Err(error));
         return;
     }
-    inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-    inner
-        .counters
-        .batched_requests
-        .fetch_add(batch as u64, Ordering::Relaxed);
-    granii_telemetry::counter_add("serve.batches", 1);
-    granii_telemetry::counter_add("serve.batched_requests", batch as u64);
-    if let Err(jobs) = process_batch(inner, exec, jobs) {
-        // Rare path (leader bind error, or a batched kernel error): fall
-        // back to serving each member serially so one member's failure
-        // cannot sink its whole group.
-        for job in jobs {
-            let id = job.id;
-            let reply = job.reply.clone();
-            let result = process_job(inner, exec, job);
-            finish_job(inner, id, key, &reply, result);
+    // Rare path (leader bind error, or a batched kernel error).
+    for job in jobs {
+        if let Err((jobs, error)) = process_batch(inner, exec, vec![job]) {
+            finish_job(inner, jobs[0].id, key, &jobs[0].reply, Err(error));
         }
     }
 }
 
-/// The multi-RHS batched path: one cache interaction for the group (leader
-/// lookup or miss-bind; followers accounted as shared hits), one
-/// `iterate_batched` over column-stacked RHS blocks, per-member result
-/// extraction and observability. Returns the jobs on failure so the caller
-/// can retry them serially.
+/// Serves one group of same-signature requests: one cache interaction
+/// (leader lookup or miss-bind; followers accounted as shared hits), one
+/// execution — a multi-RHS `iterate_batched` over column-stacked RHS blocks
+/// for two or more members, a plain `iterate` for one — then per-member
+/// result extraction, observability and replies. Returns the jobs with the
+/// error on failure, before any of them was answered.
 fn process_batch(
     inner: &Inner,
     exec: &Exec,
     mut jobs: Vec<Job>,
-) -> std::result::Result<(), Vec<Job>> {
+) -> std::result::Result<(), (Vec<Job>, ServeError)> {
     let key = jobs[0].key;
     let batch = jobs.len();
     let formed = Instant::now();
-    let _span = granii_telemetry::span!(
-        "serve.batch",
-        model = jobs[0].request.model.name(),
-        size = batch,
-    );
-    // Per-member dequeue bookkeeping. The deadline is re-checked here, at
-    // batch-formation time (not at ring pop): earlier groups from the same
-    // drain may have executed in between, and that wait counts.
+    let model = jobs[0].request.model.name();
+    let _span = if batch == 1 {
+        granii_telemetry::span!(
+            "serve.request",
+            model = model,
+            nodes = jobs[0].request.graph.num_nodes(),
+        )
+    } else {
+        granii_telemetry::span!("serve.batch", model = model, size = batch)
+    };
+    // Per-member dequeue bookkeeping. The deadline is checked here, at
+    // group-formation time (not at ring pop): earlier groups from the same
+    // drain may have executed in between, and that wait counts. An expired
+    // request is still served — a late answer beats none — but a miss skips
+    // the cost models.
     let mut queue_seconds = Vec::with_capacity(batch);
     let mut expired = Vec::with_capacity(batch);
     for job in &mut jobs {
@@ -1320,7 +1325,7 @@ fn process_batch(
             t.mark_dequeued();
         }
         let waited = formed.duration_since(job.enqueued).as_secs_f64();
-        granii_telemetry::histogram_record_seconds("serve.queue_wait", waited);
+        granii_telemetry::sketch_record_seconds("serve.queue_wait", waited);
         event!("serve.dequeue", id = job.id, queue_seconds = waited);
         queue_seconds.push(waited);
         let is_expired = job.deadline.is_some_and(|d| formed >= d);
@@ -1338,6 +1343,9 @@ fn process_batch(
         inner.distinct_signatures.observe(key.1);
         granii_telemetry::distinct_observe("serve.distinct_signatures", key.1);
     }
+    // The input-drift lane inspects every request's graph (one O(nodes)
+    // pass, allocation-free on the tracked counters) — the same statistics
+    // selection itself keys on.
     let profiles: Vec<Option<InputProfile>> = jobs
         .iter()
         .map(|job| {
@@ -1350,12 +1358,11 @@ fn process_batch(
         .collect();
 
     // Leader resolves the entry; followers ride it as shared cache hits.
+    // A hit serves even an expired leader at full quality.
     let (entry, leader_hit, leader_degraded, select_seconds) = match inner.cache.lookup(key) {
         Some(entry) => (entry, true, false, 0.0),
         None => {
-            let (leader, rest) = jobs.split_at_mut(1);
-            let leader = &mut leader[0];
-            let _ = rest;
+            let leader = &mut jobs[0];
             match bind_miss(
                 inner,
                 exec,
@@ -1367,12 +1374,14 @@ fn process_batch(
                 &mut leader.trace,
             ) {
                 Ok((entry, degraded, secs)) => {
+                    // Selection just inspected the graph as it is now: pin
+                    // it as the input-drift reference for this signature.
                     if let Some(p) = profiles[0] {
                         inner.inspect.rebind(key, p);
                     }
                     (entry, false, degraded, secs)
                 }
-                Err(_) => return Err(jobs),
+                Err(error) => return Err((jobs, error)),
             }
         }
     };
@@ -1389,13 +1398,16 @@ fn process_batch(
         );
     } else {
         granii_telemetry::counter_add("serve.cache_misses", 1);
-        granii_telemetry::counter_add("serve.cache_hits", batch as u64 - 1);
+        if batch > 1 {
+            granii_telemetry::counter_add("serve.cache_hits", batch as u64 - 1);
+        }
     }
 
-    // Execute: one multi-RHS iterate for the whole group when the plan has
-    // a batched lowering (every entry bound by this server pre-warmed its
-    // wide buffers at bind time), per-member serial iterates under the same
-    // entry lock otherwise (e.g. attention plans).
+    // Execute: one multi-RHS iterate for a group of two or more when the
+    // plan has a batched lowering (every entry bound by this server
+    // pre-warmed its wide buffers at bind time), per-member serial iterates
+    // under the same entry lock otherwise (a group of one, or e.g.
+    // attention plans).
     let t_execute = Instant::now();
     let batch_start_us = granii_telemetry::now_us();
     for job in &mut jobs {
@@ -1403,103 +1415,38 @@ fn process_batch(
             t.mark_execute_start();
         }
     }
-    let (composition, predicted_steady_seconds, outputs, charged, shares, execute_seconds) = {
+    let (composition, predicted_steady_seconds, executed) = {
         let mut cached = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        let batched = cached.bound.batch_supported() && cached.bound.batch_capacity() >= batch;
-        if batched {
-            let observed = match cached.bound.iterate_batched_observed(exec, batch) {
-                Ok(observed) => observed,
-                Err(_) => {
-                    drop(cached);
-                    return Err(jobs);
-                }
-            };
-            let mut outputs = Vec::with_capacity(batch);
-            for t in 0..batch {
-                match cached.bound.output_block(t) {
-                    Ok(block) => outputs.push(block),
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                }
-            }
-            let wall = t_execute.elapsed().as_secs_f64();
-            // Metering attribution: convert the group's engine charge to
-            // integers ONCE, then hand each member an exact integer share
-            // — the per-tenant ledger sums back to the group totals
-            // bitwise (see `crate::metering::exact_share`).
-            let group_charged_ns = (observed.charged_seconds * 1e9).round() as u64;
-            let shares: Vec<(u64, u64, u64)> = (0..batch)
-                .map(|member| {
-                    (
-                        exact_share(group_charged_ns, batch, member),
-                        exact_share(observed.flops, batch, member),
-                        exact_share(observed.bytes, batch, member),
-                    )
-                })
-                .collect();
-            (
-                cached.composition,
-                cached.predicted_steady_seconds,
-                outputs,
-                // Per-request modeled charge: the batched wrappers charge
-                // the full group, each member carries an equal share (equal
-                // to its serial charge — the drift lane sees no difference).
-                vec![observed.charged_seconds / batch as f64; batch],
-                shares,
-                vec![wall; batch],
-            )
+        let batched =
+            batch > 1 && cached.bound.batch_supported() && cached.bound.batch_capacity() >= batch;
+        let executed = if batched {
+            execute_batched(&mut cached, exec, batch, t_execute)
         } else {
-            let mut outputs = Vec::with_capacity(batch);
-            let mut charged = Vec::with_capacity(batch);
-            let mut shares = Vec::with_capacity(batch);
-            let mut walls = Vec::with_capacity(batch);
-            for _ in 0..batch {
-                let t_member = Instant::now();
-                let observed = match cached.bound.iterate_observed(exec) {
-                    Ok(observed) => observed,
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                };
-                let output = match cached.bound.output() {
-                    Ok(output) => output.clone(),
-                    Err(_) => {
-                        drop(cached);
-                        return Err(jobs);
-                    }
-                };
-                outputs.push(output);
-                charged.push(observed.charged_seconds);
-                shares.push((
-                    (observed.charged_seconds * 1e9).round() as u64,
-                    observed.flops,
-                    observed.bytes,
-                ));
-                walls.push(t_member.elapsed().as_secs_f64());
-            }
-            (
-                cached.composition,
-                cached.predicted_steady_seconds,
-                outputs,
-                charged,
-                shares,
-                walls,
-            )
-        }
+            execute_serial(&mut cached, exec, batch)
+        };
+        (
+            cached.composition,
+            cached.predicted_steady_seconds,
+            executed,
+        )
+    };
+    let executed = match executed {
+        Ok(executed) => executed,
+        Err(error) => return Err((jobs, error.into())),
     };
     for job in &mut jobs {
         if let Some(t) = job.trace.as_deref_mut() {
             t.mark_execute_done();
-            t.set_batch(key.1, batch as u64);
+            if batch > 1 {
+                t.set_batch(key.1, batch as u64);
+            }
         }
     }
-    // Batch-causal tracing: one `serve.batch` span per executed group on
-    // the dedicated lane, carrying the group signature and member ids;
-    // sampled members' execute children link back via `batch_group`.
-    if granii_telemetry::enabled() {
+    // Batch-causal tracing: one `serve.batch` span per executed group of
+    // two or more on the dedicated lane, carrying the group signature and
+    // member ids; sampled members' execute children link back via
+    // `batch_group`.
+    if batch > 1 && granii_telemetry::enabled() {
         let member_ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
         trace::record_batch_span(
             key.1,
@@ -1512,7 +1459,7 @@ fn process_batch(
     }
 
     // Per-member observability and replies.
-    for (i, job) in jobs.into_iter().enumerate() {
+    for (i, (job, member)) in jobs.into_iter().zip(executed).enumerate() {
         let Job {
             id,
             request,
@@ -1522,7 +1469,7 @@ fn process_batch(
             ..
         } = job;
         if let Some(predicted) = predicted_steady_seconds {
-            observe_drift(inner, id, &request, key, charged[i], predicted);
+            observe_drift(inner, id, &request, key, member.charged_seconds, predicted);
         }
         if let Some(p) = profiles[i] {
             observe_input(inner, id, &request, key, &p);
@@ -1532,7 +1479,7 @@ fn process_batch(
         if let Some(t) = trace.take() {
             t.finish(request.model.name(), cache_hit, degraded);
         }
-        let (charged_ns, flops, bytes) = shares[i];
+        let (charged_ns, flops, bytes) = member.share;
         inner.metering.record(
             key.1,
             &MeterCharge {
@@ -1547,11 +1494,11 @@ fn process_batch(
         );
         let response = ServeResponse {
             composition,
-            output: outputs[i].clone(),
+            output: member.output,
             timing: RequestTiming {
                 queue_seconds: queue_seconds[i],
                 select_seconds: if i == 0 { select_seconds } else { 0.0 },
-                execute_seconds: execute_seconds[i],
+                execute_seconds: member.wall_seconds,
                 total_seconds: enqueued.elapsed().as_secs_f64(),
             },
             cache_hit,
@@ -1561,6 +1508,77 @@ fn process_batch(
         finish_job(inner, id, key, &reply, Ok(response));
     }
     Ok(())
+}
+
+/// What executing a group produced for one member.
+struct Executed {
+    output: DenseMatrix,
+    /// Modeled engine charge.
+    charged_seconds: f64,
+    /// Metered `(charged_ns, flops, bytes)`.
+    share: (u64, u64, u64),
+    /// Wall time of the execution that served the member.
+    wall_seconds: f64,
+}
+
+/// One multi-RHS iterate for the whole group.
+fn execute_batched(
+    cached: &mut CachedPlan,
+    exec: &Exec,
+    batch: usize,
+    t_execute: Instant,
+) -> std::result::Result<Vec<Executed>, CoreError> {
+    let observed = cached.bound.iterate_batched_observed(exec, batch)?;
+    let outputs = (0..batch)
+        .map(|t| cached.bound.output_block(t))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let wall_seconds = t_execute.elapsed().as_secs_f64();
+    // Metering attribution: convert the group's engine charge to integers
+    // ONCE, then hand each member an exact integer share — the per-tenant
+    // ledger sums back to the group totals bitwise (see
+    // `crate::metering::exact_share`).
+    let group_charged_ns = (observed.charged_seconds * 1e9).round() as u64;
+    Ok(outputs
+        .into_iter()
+        .enumerate()
+        .map(|(member, output)| Executed {
+            output,
+            // The batched wrappers charge the full group, each member
+            // carries an equal share (equal to its serial charge — the
+            // drift lane sees no difference).
+            charged_seconds: observed.charged_seconds / batch as f64,
+            share: (
+                exact_share(group_charged_ns, batch, member),
+                exact_share(observed.flops, batch, member),
+                exact_share(observed.bytes, batch, member),
+            ),
+            wall_seconds,
+        })
+        .collect())
+}
+
+/// One serial iterate per member, each timed on its own.
+fn execute_serial(
+    cached: &mut CachedPlan,
+    exec: &Exec,
+    batch: usize,
+) -> std::result::Result<Vec<Executed>, CoreError> {
+    (0..batch)
+        .map(|_| {
+            let t_member = Instant::now();
+            let observed = cached.bound.iterate_observed(exec)?;
+            Ok(Executed {
+                output: cached.bound.output()?.clone(),
+                charged_seconds: observed.charged_seconds,
+                share: (
+                    (observed.charged_seconds * 1e9).round() as u64,
+                    observed.flops,
+                    observed.bytes,
+                ),
+                wall_seconds: t_member.elapsed().as_secs_f64(),
+            })
+        })
+        .collect()
 }
 
 /// Per-result bookkeeping and the reply send: completion/failure counters,
@@ -1581,15 +1599,14 @@ fn finish_job(
                 granii_telemetry::counter_add("serve.degraded", 1);
             }
             granii_telemetry::counter_add("serve.completed", 1);
-            granii_telemetry::histogram_record_seconds(
+            granii_telemetry::sketch_record_seconds(
                 "serve.request_latency",
                 response.timing.total_seconds,
             );
             // Outcome-split latency: a healthy hit rate can hide a
-            // pathological miss tail in the combined figures. The
-            // histogram is the legacy log₂ view; the sketch carries the
-            // SLO-grade quantiles (always recorded server-side, gated
-            // mirror into the telemetry registry under the same name).
+            // pathological miss tail in the combined figures. Always
+            // recorded server-side, with a gated mirror into the telemetry
+            // registry under the same name.
             let outcome = if response.degraded {
                 Outcome::Degraded
             } else if response.cache_hit {
@@ -1615,7 +1632,6 @@ fn finish_job(
             }) {
                 inner.metering.note_slo_violation(key.1);
             }
-            granii_telemetry::histogram_record_seconds(metric, response.timing.total_seconds);
             inner.latency.for_outcome(outcome).record_ns(latency_ns);
             granii_telemetry::sketch_record_ns(metric, latency_ns);
             inner.recorder.record(
@@ -1886,28 +1902,19 @@ fn observe_drift(
 /// *bound* graph, so its cost residual stays clean while the live input
 /// walks away.
 fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p: &InputProfile) {
-    if let InspectVerdict::Flagged { band_l1, cv_delta } = inner.inspect.observe(key, p) {
+    if let InspectVerdict::Flagged {
+        band_l1,
+        cv_delta,
+        live,
+        reference,
+    } = inner.inspect.observe(key, p)
+    {
         inner.cache.invalidate(key);
         inner
             .counters
             .input_drift_flagged
             .fetch_add(1, Ordering::Relaxed);
         granii_telemetry::counter_add("serve.input_drift_flagged", 1);
-        // The flag is the rare path: the row walk for the offending
-        // live-vs-reference deltas costs nothing in steady state.
-        let (live_avg_degree, live_cv, reference_cv) = inner
-            .inspect
-            .rows()
-            .into_iter()
-            .find(|row| row.key == key)
-            .map(|row| {
-                (
-                    row.live.avg_degree,
-                    row.live.degree_cv,
-                    row.reference.degree_cv,
-                )
-            })
-            .unwrap_or((p.avg_degree, p.degree_cv, 0.0));
         inner.recorder.record(
             id,
             key.1,
@@ -1923,9 +1930,9 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
             RecordKind::InputDriftFlag {
                 band_l1,
                 cv_delta,
-                live_cv,
-                reference_cv,
-                live_avg_degree,
+                live_cv: live.degree_cv,
+                reference_cv: reference.degree_cv,
+                live_avg_degree: live.avg_degree,
             },
         );
         event!(
@@ -1947,150 +1954,6 @@ fn observe_input(inner: &Inner, id: u64, request: &ServeRequest, key: PlanKey, p
             },
         );
     }
-}
-
-/// The serial (group-of-one) path.
-fn process_job(inner: &Inner, exec: &Exec, job: Job) -> Result<ServeResponse> {
-    let Job {
-        id,
-        key,
-        request,
-        enqueued,
-        deadline,
-        mut trace,
-        ..
-    } = job;
-    let _span = granii_telemetry::span!(
-        "serve.request",
-        model = request.model.name(),
-        nodes = request.graph.num_nodes(),
-    );
-    let start = Instant::now();
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_dequeued();
-    }
-    let queue_seconds = start.duration_since(enqueued).as_secs_f64();
-    granii_telemetry::histogram_record_seconds("serve.queue_wait", queue_seconds);
-    event!("serve.dequeue", id = id, queue_seconds = queue_seconds);
-
-    // Deadline policy: checked when the (singleton) group forms. An expired
-    // request is still served — a late answer beats none — but skips the
-    // cost models.
-    let expired = deadline.is_some_and(|d| start >= d);
-    if expired {
-        inner
-            .counters
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
-        granii_telemetry::counter_add("serve.deadline_expired", 1);
-        inner
-            .recorder
-            .record(id, key.1, key.0.name(), RecordKind::DeadlineExpired);
-    }
-
-    inner.distinct_signatures.observe(key.1);
-    granii_telemetry::distinct_observe("serve.distinct_signatures", key.1);
-    // The input-drift lane inspects every request's graph (one O(nodes)
-    // pass, allocation-free on the tracked counters) — the same statistics
-    // selection itself keys on.
-    let profile = inner
-        .inspect
-        .config()
-        .enabled
-        .then(|| InputProfile::extract(&request.graph));
-    let (entry, cache_hit, degraded, select_seconds) = match inner.cache.lookup(key) {
-        // Hit: the signature's plan is already bound — even an expired
-        // request serves it at full quality.
-        Some(entry) => {
-            inner
-                .recorder
-                .record(id, key.1, key.0.name(), RecordKind::CacheHit { shared: 0 });
-            (entry, true, false, 0.0)
-        }
-        None => {
-            let (entry, degraded, select_seconds) =
-                bind_miss(inner, exec, id, &request, key, expired, profile, &mut trace)?;
-            // Selection just inspected the graph as it is now: pin it as
-            // the input-drift reference for this signature.
-            if let Some(p) = profile {
-                inner.inspect.rebind(key, p);
-            }
-            (entry, false, degraded, select_seconds)
-        }
-    };
-
-    let t_execute = Instant::now();
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_execute_start();
-    }
-    let (composition, output, observed, predicted_steady_seconds) = {
-        let mut cached = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        let observed = cached.bound.iterate_observed(exec)?;
-        let output = cached.bound.output()?.clone();
-        (
-            cached.composition,
-            output,
-            observed,
-            cached.predicted_steady_seconds,
-        )
-    };
-    if let Some(t) = trace.as_deref_mut() {
-        t.mark_execute_done();
-    }
-    let execute_seconds = t_execute.elapsed().as_secs_f64();
-    granii_telemetry::counter_add(
-        if cache_hit {
-            "serve.cache_hits"
-        } else {
-            "serve.cache_misses"
-        },
-        1,
-    );
-
-    if let Some(predicted) = predicted_steady_seconds {
-        observe_drift(
-            inner,
-            id,
-            &request,
-            key,
-            observed.charged_seconds,
-            predicted,
-        );
-    }
-    if let Some(p) = profile {
-        observe_input(inner, id, &request, key, &p);
-    }
-
-    if let Some(t) = trace.take() {
-        t.finish(request.model.name(), cache_hit, degraded);
-    }
-
-    inner.metering.record(
-        key.1,
-        &MeterCharge {
-            charged_ns: (observed.charged_seconds * 1e9).round() as u64,
-            flops: observed.flops,
-            bytes: observed.bytes,
-            queue_wait_ns: (queue_seconds * 1e9) as u64,
-            batch: 1,
-            cache_hit,
-            degraded,
-        },
-    );
-
-    Ok(ServeResponse {
-        composition,
-        output,
-        timing: RequestTiming {
-            queue_seconds,
-            select_seconds,
-            execute_seconds,
-            total_seconds: enqueued.elapsed().as_secs_f64(),
-        },
-        cache_hit,
-        degraded,
-        batch_size: 1,
-    })
 }
 
 /// Assembles and stores one incident bundle for `trigger`, subject to the

@@ -141,7 +141,7 @@ pub struct SloObjectiveStatus {
 }
 
 /// Per-outcome latency quantiles from the server's bounded-relative-error
-/// sketches (not the log₂ histograms — these resolve the tail).
+/// sketches.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencySketchStatus {
     /// Outcome class (`hit`, `miss`, `degraded`).
@@ -163,9 +163,10 @@ pub struct LatencySketchStatus {
 /// Continuous-batching state: how requests coalesced into signature-keyed
 /// batch groups.
 ///
-/// `Deserialize` is hand-written (not derived): a missing/`null` section
-/// falls back to `Default`, so pre-batching status snapshots still parse.
-#[derive(Debug, Clone, Default, Serialize)]
+/// A missing/`null` section falls back to `Default` (`#[serde(default)]`),
+/// so pre-batching status snapshots still parse.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct BatchingStatus {
     /// Configured batch bound (`1` disables batching).
     pub max_batch: usize,
@@ -201,9 +202,9 @@ pub struct TenantStatus {
 
 /// Per-tenant admission fairness: the bound and the per-tenant table.
 ///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`].
-#[derive(Debug, Clone, Default, Serialize)]
+/// Same missing-section compatibility contract as [`BatchingStatus`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FairnessStatus {
     /// Maximum queued requests any one tenant may hold.
     pub tenant_queue_cap: u64,
@@ -215,10 +216,11 @@ pub struct FairnessStatus {
 
 /// Flight-recorder and incident-capture health.
 ///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`]: snapshots from before the recorder existed parse
-/// with a defaulted section.
-#[derive(Debug, Clone, Default, Serialize)]
+/// Same missing-section compatibility contract as [`BatchingStatus`]:
+/// snapshots from before the recorder existed parse with a defaulted
+/// section.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RecorderStatus {
     /// Ring capacity in records.
     pub capacity: u64,
@@ -234,25 +236,6 @@ pub struct RecorderStatus {
     pub events_dropped: u64,
     /// Kind of the most recent captured trigger (`""` when none).
     pub last_trigger: String,
-}
-
-impl serde::Deserialize for RecorderStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(RecorderStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for RecorderStatus")),
-        };
-        Ok(RecorderStatus {
-            capacity: serde::get_field(m, "capacity")?,
-            written: serde::get_field(m, "written")?,
-            dropped: serde::get_field(m, "dropped")?,
-            incidents: serde::get_field(m, "incidents")?,
-            suppressed: serde::get_field(m, "suppressed")?,
-            events_dropped: serde::get_field(m, "events_dropped")?,
-            last_trigger: serde::get_field(m, "last_trigger")?,
-        })
-    }
 }
 
 /// One tenant's resource meters, ranked into the "top tenants" table.
@@ -310,9 +293,10 @@ impl From<crate::metering::MeterRow> for TenantMeterStatus {
 /// Per-tenant resource metering: server-wide totals and the ranked
 /// top-tenants table (charged time descending).
 ///
-/// Same hand-written `Deserialize` compatibility contract as
-/// [`BatchingStatus`]: pre-ledger snapshots parse with a defaulted section.
-#[derive(Debug, Clone, Default, Serialize)]
+/// Same missing-section compatibility contract as [`BatchingStatus`]:
+/// pre-ledger snapshots parse with a defaulted section.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct MeteringStatus {
     /// Requests the ledger has metered (equals `completed` at quiescence).
     pub total_requests: u64,
@@ -328,61 +312,6 @@ pub struct MeteringStatus {
     pub total_slo_violations: u64,
     /// Per-tenant meters, charged time descending.
     pub tenants: Vec<TenantMeterStatus>,
-}
-
-impl serde::Deserialize for MeteringStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(MeteringStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for MeteringStatus")),
-        };
-        Ok(MeteringStatus {
-            total_requests: serde::get_field(m, "total_requests")?,
-            total_charged_ms: serde::get_field(m, "total_charged_ms")?,
-            total_flops: serde::get_field(m, "total_flops")?,
-            total_bytes: serde::get_field(m, "total_bytes")?,
-            total_sheds: serde::get_field(m, "total_sheds")?,
-            total_slo_violations: serde::get_field(m, "total_slo_violations")?,
-            tenants: serde::get_field(m, "tenants")?,
-        })
-    }
-}
-
-impl serde::Deserialize for BatchingStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            // Missing section in an older snapshot (the shim feeds `Null`
-            // for absent fields).
-            serde::Value::Null => return Ok(BatchingStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for BatchingStatus")),
-        };
-        Ok(BatchingStatus {
-            max_batch: serde::get_field(m, "max_batch")?,
-            groups: serde::get_field(m, "groups")?,
-            batches: serde::get_field(m, "batches")?,
-            batched_requests: serde::get_field(m, "batched_requests")?,
-            mean_size: serde::get_field(m, "mean_size")?,
-            p50_size: serde::get_field(m, "p50_size")?,
-            p95_size: serde::get_field(m, "p95_size")?,
-        })
-    }
-}
-
-impl serde::Deserialize for FairnessStatus {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = match value {
-            serde::Value::Object(m) => m,
-            serde::Value::Null => return Ok(FairnessStatus::default()),
-            _ => return Err(serde::Error::custom("expected object for FairnessStatus")),
-        };
-        Ok(FairnessStatus {
-            tenant_queue_cap: serde::get_field(m, "tenant_queue_cap")?,
-            tenant_shed: serde::get_field(m, "tenant_shed")?,
-            tenants: serde::get_field(m, "tenants")?,
-        })
-    }
 }
 
 /// Point-in-time serving snapshot: everything an operator asks first.

@@ -1,7 +1,7 @@
 //! Gauge-freshness acceptance: the `serve.queue_depth` gauge must read 0
 //! after a graceful shutdown drains the queue, the shed path must refresh the
 //! gauges it would otherwise leave stale, and the outcome-split latency
-//! histograms must partition completed requests exactly.
+//! sketches must partition completed requests exactly.
 //!
 //! Single `#[test]` binary: the telemetry metrics registry is
 //! process-global, so no other test may record serve metrics concurrently.
@@ -23,9 +23,9 @@ fn gauge(snapshot: &MetricsSnapshot, name: &str) -> Option<f64> {
         .map(|&(_, v)| v)
 }
 
-fn histogram_count(snapshot: &MetricsSnapshot, name: &str) -> u64 {
+fn sketch_count(snapshot: &MetricsSnapshot, name: &str) -> u64 {
     snapshot
-        .histograms
+        .sketches
         .iter()
         .find(|h| h.name == name)
         .map_or(0, |h| h.count)
@@ -75,11 +75,11 @@ fn queue_depth_gauge_drains_to_zero_and_latency_splits_partition() {
     );
 
     // One signature, 8 requests: exactly 1 miss, 7 hits, 0 degraded — the
-    // outcome-split histograms must partition the combined latency histogram.
-    assert_eq!(histogram_count(&snapshot, "serve.latency.miss"), 1);
-    assert_eq!(histogram_count(&snapshot, "serve.latency.hit"), 7);
-    assert_eq!(histogram_count(&snapshot, "serve.latency.degraded"), 0);
-    assert_eq!(histogram_count(&snapshot, "serve.request_latency"), 8);
+    // outcome-split sketches must partition the combined latency sketch.
+    assert_eq!(sketch_count(&snapshot, "serve.latency.miss"), 1);
+    assert_eq!(sketch_count(&snapshot, "serve.latency.hit"), 7);
+    assert_eq!(sketch_count(&snapshot, "serve.latency.degraded"), 0);
+    assert_eq!(sketch_count(&snapshot, "serve.request_latency"), 8);
 
     // Shed path: a zero-depth queue sheds every submit, and the shed branch
     // must still refresh both gauges rather than leave the last drain values.

@@ -305,3 +305,51 @@ fn shutdown_drains_queued_requests() {
             .expect("queued request served before shutdown");
     }
 }
+
+#[test]
+fn rejected_selection_fails_every_request_of_a_burst_and_serving_continues() {
+    // k2 = 0 is a layer shape compilation rejects: not a degradable
+    // cost-model gap, so every request of the same-signature burst must get
+    // the typed error back, whether it ran in a group or alone. A fresh
+    // instance starts with an empty plan cache, so no earlier request has
+    // compiled the GCN plan these requests would otherwise reuse.
+    const BURST: usize = 8;
+    let server = Server::start(
+        Arc::new(Granii::with_cost_models(granii().cost_models().clone())),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let graph = tiny(Dataset::CoAuthorsCiteseer);
+    // A valid GIN miss ahead of the burst keeps the single worker busy, so
+    // the burst usually queues up behind it and is drained as one group.
+    let ahead = server
+        .submit(ServeRequest::new(ModelKind::Gin, graph.clone(), 128, 64))
+        .expect("queue has room");
+    let tickets: Vec<_> = (0..BURST)
+        .map(|_| {
+            server
+                .submit(ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 0))
+                .expect("queue has room")
+        })
+        .collect();
+    for ticket in tickets {
+        match ticket.wait() {
+            Err(ServeError::Core(_)) => {}
+            other => panic!("expected a core error, got {other:?}"),
+        }
+    }
+    ahead
+        .wait()
+        .expect("the request ahead of the burst completes");
+    assert_eq!(server.stats().failed, BURST as u64);
+    let response = server
+        .process(ServeRequest::new(ModelKind::Gcn, graph, 64, 128))
+        .expect("a valid request after the failed burst completes");
+    assert!(response.output.as_slice().iter().all(|v| v.is_finite()));
+    let stats = server.stats();
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.failed, BURST as u64);
+    server.shutdown();
+}

@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn sink_is_bounded_and_counts_drops() {
+        let _lock = crate::test_lock();
         crate::enable();
         clear_events();
         for i in 0..(EVENT_CAPACITY + 10) {
@@ -120,6 +121,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_non_destructive() {
+        let _lock = crate::test_lock();
         crate::enable();
         clear_events();
         for i in 0..5u64 {
@@ -137,6 +139,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
+        let _lock = crate::test_lock();
         crate::disable();
         event_record("t.disabled", Vec::new());
         assert!(take_events().iter().all(|e| e.name != "t.disabled"));

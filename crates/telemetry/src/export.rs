@@ -124,10 +124,10 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], report: &ProfileReport) 
 /// Renders a metrics snapshot as a flat JSON object:
 /// `{"captured_at_ns": ..., "uptime_ns": ..., "events_dropped": ...,
 /// "counters": {name: value},
-/// "gauges": {name: value}, "histograms": {name: {count, sum_ns, ...}},
+/// "gauges": {name: value},
 /// "sketches": {name: {alpha, count, ..., p999_ns, buckets}},
 /// "distinct": {name: estimate}}`.
-/// Histogram and sketch buckets are emitted sparsely as
+/// Sketch buckets are emitted sparsely as
 /// `[[bucket_index, count], ...]`. `captured_at_ns` is monotonic since the
 /// process trace epoch, so two dumps from one long-running server can be
 /// ordered and diffed into rates.
@@ -156,38 +156,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         push_json_string(&mut out, name);
         out.push(':');
         push_f64(&mut out, *value);
-    }
-    out.push_str("\n},\n\"histograms\":{");
-    for (i, h) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        push_json_string(&mut out, &h.name);
-        let _ = write!(
-            out,
-            ":{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":",
-            h.count, h.sum_ns, h.min_ns, h.max_ns
-        );
-        push_f64(&mut out, h.mean_ns());
-        out.push_str(",\"p50_ns\":");
-        push_f64(&mut out, h.p50_ns());
-        out.push_str(",\"p95_ns\":");
-        push_f64(&mut out, h.p95_ns());
-        out.push_str(",\"p99_ns\":");
-        push_f64(&mut out, h.p99_ns());
-        out.push_str(",\"buckets\":[");
-        let mut first = true;
-        for (idx, count) in h.buckets.iter().enumerate() {
-            if *count > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{idx},{count}]");
-            }
-        }
-        out.push_str("]}");
     }
     out.push_str("\n},\n\"sketches\":{");
     for (i, s) in snapshot.sketches.iter().enumerate() {
@@ -292,7 +260,7 @@ pub fn events_jsonl(events: &[EventRecord]) -> String {
 /// Renders a human-readable hierarchical summary: spans are grouped by their
 /// path (name chain from each thread's root), with call counts, total time,
 /// share of the root spans' total time, and exact per-path p50/p95 latency
-/// (computed from the individual span durations, not histogram buckets).
+/// (computed from the individual span durations, not sketch buckets).
 pub fn summary(spans: &[SpanRecord]) -> String {
     // take_spans() already orders by (tid, seq); re-sort defensively so the
     // stack walk below is correct for arbitrary input.

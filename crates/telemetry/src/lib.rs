@@ -11,11 +11,12 @@
 //!   time, thread id, nesting depth, and key/value attributes into per-thread
 //!   buffers (each thread appends to its own mutex — only the collector ever
 //!   contends).
-//! - **Metrics** ([`counter_add`], [`histogram_record_seconds`]): named
-//!   counters and log₂-bucketed latency histograms.
-//! - **Sketches** ([`sketch_handle`], [`Sketch`]): mergeable bounded-
-//!   relative-error quantile sketches (for SLO-grade p99/p999) and a
-//!   distinct-count estimator for unique request fingerprints.
+//! - **Metrics** ([`counter_add`], [`gauge_set`], [`sketch_record_seconds`]):
+//!   named counters, gauges and latency sketches.
+//! - **Sketches** ([`Sketch`], [`DistinctCounter`]): mergeable bounded-
+//!   relative-error quantile sketches (for SLO-grade p99/p999), the one
+//!   quantile type every latency is recorded into, and a distinct-count
+//!   estimator for unique request fingerprints.
 //! - **Time series** ([`timeseries`], [`TimeSeriesRing`], [`start_sampler`]):
 //!   a fixed-capacity on-host ring of periodic samples (counters, gauges,
 //!   sketch quantiles) with read-time delta/rate derivation — the
@@ -56,9 +57,8 @@ pub use events::{
     event_record, events_dropped, snapshot_events, take_events, EventRecord, EVENT_CAPACITY,
 };
 pub use metrics::{
-    counter_add, distinct_handle, distinct_observe, gauge_set, histogram_record_ns,
-    histogram_record_seconds, metrics_snapshot, sketch_handle, sketch_record_ns, HistogramSnapshot,
-    MetricsSnapshot, HISTOGRAM_BUCKETS,
+    counter_add, distinct_observe, gauge_set, metrics_snapshot, sketch_record_ns,
+    sketch_record_seconds, MetricsSnapshot,
 };
 pub use profile::{ProfileReport, ProfileRow};
 pub use sketch::{DistinctCounter, DistinctSnapshot, Sketch, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
@@ -96,6 +96,16 @@ pub fn reset() {
     span::clear_spans();
     metrics::clear_metrics();
     events::clear_events();
+}
+
+/// Serializes this crate's unit tests that flip the global enable switch or
+/// touch the global sinks: the test harness runs tests on parallel threads,
+/// and one test's `disable()` must not land inside another's recording.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Opens a span with optional `key = value` attributes.

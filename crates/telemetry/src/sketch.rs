@@ -1,13 +1,12 @@
 //! Streaming sketches: a mergeable log-bucketed quantile sketch and a small
 //! distinct-count estimator.
 //!
-//! The fixed log₂ latency histograms ([`crate::metrics`]) bound a sample to a
-//! power-of-two interval — fine for dashboards, useless for SLO math where
-//! "p999 under 50 ms" needs sub-2× resolution. The [`Sketch`] here is
-//! DDSketch-style: geometric buckets with ratio `γ = (1 + α)²` so every
-//! quantile estimate is within a configured **relative** error `α` of the
-//! exact sample quantile, at any scale from nanoseconds to hours. Two
-//! properties make it the right primitive for a serving runtime:
+//! SLO math such as "p999 under 50 ms" needs quantiles far finer than a
+//! power-of-two bucket. The [`Sketch`] here is DDSketch-style: geometric
+//! buckets with ratio `γ = (1 + α)²` so every quantile estimate is within a
+//! configured **relative** error `α` of the exact sample quantile, at any
+//! scale from nanoseconds to hours. Two properties make it the right
+//! primitive for a serving runtime:
 //!
 //! - **Zero-alloc, lock-free recording.** A sketch is a fixed array of
 //!   atomics sized at construction; [`Sketch::record_ns`] is a handful of
@@ -91,11 +90,6 @@ impl Sketch {
         }
     }
 
-    /// The configured relative-error bound `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Records one nanosecond value. Lock-free and allocation-free: one
     /// float log plus a handful of relaxed atomic RMWs.
     pub fn record_ns(&self, ns: u64) {
@@ -109,22 +103,6 @@ impl Sketch {
             let idx = value_index(ns, self.ln_gamma, self.buckets.len());
             self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records a duration given in seconds (negative/non-finite recorded as
-    /// zero, mirroring [`crate::histogram_record_seconds`]).
-    pub fn record_seconds(&self, seconds: f64) {
-        let ns = if seconds.is_finite() && seconds > 0.0 {
-            (seconds * 1e9) as u64
-        } else {
-            0
-        };
-        self.record_ns(ns);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Point-in-time copy under the given export name. Buckets are stored
@@ -152,19 +130,6 @@ impl Sketch {
                     (c > 0).then_some((idx as u32, c))
                 })
                 .collect(),
-        }
-    }
-
-    /// Zeroes every counter in place (registry reset). Handles held by
-    /// long-lived recorders stay valid — they simply start from empty.
-    pub fn clear(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.zero.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -258,8 +223,7 @@ impl SketchSnapshot {
         self.quantile_ns(0.99)
     }
 
-    /// Estimated 99.9th percentile in nanoseconds — the tail the fixed log₂
-    /// histograms cannot resolve.
+    /// Estimated 99.9th percentile in nanoseconds.
     pub fn p999_ns(&self) -> f64 {
         self.quantile_ns(0.999)
     }
@@ -429,13 +393,6 @@ impl DistinctCounter {
             raw
         }
     }
-
-    /// Zeroes every register in place (registry reset).
-    pub fn clear(&self) {
-        for r in self.registers.iter() {
-            r.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Point-in-time copy of one [`DistinctCounter`]'s estimate.
@@ -555,17 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_in_place() {
-        let s = Sketch::new(0.01);
-        s.record_ns(123);
-        s.clear();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.snapshot("t").quantile_ns(0.5), 0.0);
-        s.record_ns(9);
-        assert_eq!(s.snapshot("t").quantile_ns(1.0), 9.0);
-    }
-
-    #[test]
     fn distinct_counter_tracks_cardinality_not_volume() {
         let d = DistinctCounter::new();
         for _ in 0..100 {
@@ -575,8 +521,6 @@ mod tests {
         }
         let est = d.estimate();
         assert!((est - 12.0).abs() <= 2.0, "{est}");
-        d.clear();
-        assert!(d.estimate() < 0.5);
     }
 
     #[test]

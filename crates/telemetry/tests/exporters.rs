@@ -165,13 +165,13 @@ fn metrics_json_parses_and_orders_quantiles() {
     let _g = guard();
     granii_telemetry::counter_add("kernels", 3);
     for ns in [100u64, 200, 300, 400, 50_000] {
-        granii_telemetry::histogram_record_ns("lat", ns);
+        granii_telemetry::sketch_record_ns("lat", ns);
     }
     granii_telemetry::disable();
     let json = export::metrics_json(&granii_telemetry::metrics_snapshot());
     let value: Value = serde_json::from_str(&json).expect("valid JSON");
     assert_eq!(num(field(&value, "counters"), "kernels"), 3.0);
-    let h = field(field(&value, "histograms"), "lat");
+    let h = field(field(&value, "sketches"), "lat");
     assert_eq!(num(h, "count"), 5.0);
     assert_eq!(num(h, "min_ns"), 100.0);
     assert_eq!(num(h, "max_ns"), 50_000.0);

@@ -132,29 +132,6 @@ fn disabled_telemetry_records_nothing_and_is_cheap() {
 }
 
 #[test]
-fn histogram_buckets_are_log2() {
-    let _g = guard();
-    granii_telemetry::histogram_record_ns("h", 0);
-    granii_telemetry::histogram_record_ns("h", 1);
-    granii_telemetry::histogram_record_ns("h", 3);
-    granii_telemetry::histogram_record_ns("h", 4);
-    granii_telemetry::histogram_record_ns("h", 1024);
-    granii_telemetry::disable();
-    let snap = granii_telemetry::metrics_snapshot();
-    let h = &snap.histograms[0];
-    assert_eq!(h.name, "h");
-    assert_eq!(h.count, 5);
-    assert_eq!(h.min_ns, 0);
-    assert_eq!(h.max_ns, 1024);
-    assert_eq!(h.buckets[0], 1); // exact zero
-    assert_eq!(h.buckets[1], 1); // [1, 2)
-    assert_eq!(h.buckets[2], 1); // [2, 4) <- 3
-    assert_eq!(h.buckets[3], 1); // [4, 8) <- 4
-    assert_eq!(h.buckets[11], 1); // [1024, 2048)
-    assert_eq!(h.buckets.iter().sum::<u64>(), 5);
-}
-
-#[test]
 fn counters_accumulate() {
     let _g = guard();
     granii_telemetry::counter_add("a", 2);
@@ -195,16 +172,30 @@ fn chrome_trace_has_required_event_fields() {
 }
 
 #[test]
-fn metrics_json_lists_counters_and_histograms() {
+fn metrics_json_lists_counters_and_sketches() {
     let _g = guard();
     granii_telemetry::counter_add("kernels", 9);
-    granii_telemetry::histogram_record_seconds("latency", 0.001);
+    granii_telemetry::sketch_record_seconds("latency", 0.001);
     granii_telemetry::disable();
     let json = export::metrics_json(&granii_telemetry::metrics_snapshot());
     assert!(json.contains("\"kernels\":9"));
     assert!(json.contains("\"latency\""));
     assert!(json.contains("\"count\":1"));
-    assert!(json.contains("\"buckets\":[[20,1]]"), "{json}"); // 1ms = 1e6 ns -> bucket 20
+    // 1ms = 1e6 ns -> bucket floor(ln 1e6 / (2 ln 1.01)) = 694.
+    assert!(json.contains("\"buckets\":[[694,1]]"), "{json}");
+}
+
+#[test]
+fn sketch_record_seconds_clamps_non_finite_and_negative_to_zero() {
+    let _g = guard();
+    for seconds in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+        granii_telemetry::sketch_record_seconds("clamped", seconds);
+    }
+    granii_telemetry::disable();
+    let snap = granii_telemetry::metrics_snapshot();
+    let s = &snap.sketches[0];
+    assert_eq!(s.name, "clamped");
+    assert_eq!((s.count, s.zero_count, s.max_ns), (4, 4, 0));
 }
 
 #[test]

@@ -68,9 +68,11 @@ fn concurrent_sampling_yields_consistent_snapshots() {
 
     // Reader: every concurrent snapshot must be frame-consistent — bounded
     // size, nondecreasing timestamps, nondecreasing counter, and every
-    // delta a multiple of the increment (no torn frames).
+    // delta a multiple of the increment (no torn frames). The reader keeps
+    // going until the writer has pushed at least one frame, so the checks
+    // always see a concurrent write however the threads are scheduled.
     let mut snapshots = 0u64;
-    while snapshots < 200 {
+    while snapshots < 200 || ring.written() == 0 {
         let snap = ring.snapshot();
         assert!(snap.frames() <= 8);
         assert!(

@@ -59,9 +59,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         runtime::allocation_counter_total() - allocs_before - report.steady_allocations,
     );
 
-    // The same split is visible in the telemetry histograms.
-    println!("\ntelemetry histograms:");
-    for h in granii::telemetry::metrics_snapshot().histograms {
+    // The same split is visible in the telemetry sketches.
+    println!("\ntelemetry sketches:");
+    for h in granii::telemetry::metrics_snapshot().sketches {
         if h.name.starts_with("execplan.") {
             println!(
                 "  {:<20} count {:>4}  mean {:>10.1} µs",

@@ -173,12 +173,12 @@ fn every_primitive_kind_emits_a_span() {
         assert!(span.attrs.iter().any(|(k, _)| *k == "bytes"), "{span:?}");
     }
 
-    // Metrics side: one histogram per kind plus the dispatch counter.
+    // Metrics side: one sketch per kind plus the dispatch counter.
     let snapshot = granii_telemetry::metrics_snapshot();
     assert!(snapshot
         .counters
         .iter()
         .any(|(n, v)| n == "engine.kernels" && *v == 9));
-    assert_eq!(snapshot.histograms.len(), PrimitiveKind::ALL.len());
+    assert_eq!(snapshot.sketches.len(), PrimitiveKind::ALL.len());
     granii_telemetry::reset();
 }
