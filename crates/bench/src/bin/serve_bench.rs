@@ -36,7 +36,8 @@ use granii_core::{Granii, GraniiOptions};
 use granii_gnn::spec::ModelKind;
 use granii_graph::datasets::{Dataset, Scale};
 use granii_matrix::device::DeviceKind;
-use granii_serve::{ServeConfig, ServeRequest, ServeStats};
+use granii_serve::{LatencySketchStatus, ServeConfig, ServeRequest, ServeStats};
+use granii_telemetry::DEFAULT_SKETCH_ALPHA;
 
 const USAGE: &str = "usage: serve_bench [--clients N] [--requests N] [--workers N] \
                      [--queue-depth N] [--cache N] [--max-batch N] [--fairness-share F] \
@@ -217,9 +218,9 @@ fn main() {
             "  outcomes        completed {}  shed {} (tenant {})  failed {}  degraded {}",
             report.completed, report.shed, report.stats.tenant_shed, report.failed, report.degraded
         );
-        print_sketches(&report.latency_sketches);
+        print_sketches(&report.status.latency);
         print_cache(&report.stats);
-        print_metering(&report.status.metering);
+        print!("{}", report.status.metering);
         if report.failed > 0 {
             eprintln!("serve_bench: FAILED — {} requests errored", report.failed);
             std::process::exit(1);
@@ -257,7 +258,7 @@ fn main() {
         report.latency.max_ms,
         report.latency.mean_ms
     );
-    print_sketches(&report.latency_sketches);
+    print_sketches(&report.status.latency);
     println!(
         "  outcomes        completed {}  shed {}  failed {}  degraded {}",
         report.completed, report.shed, report.failed, report.degraded
@@ -271,31 +272,24 @@ fn main() {
 
 /// The client-side sample is exact but shallow: at a few hundred requests
 /// its "p99" is one observation. The server's sketches see every request at
-/// bounded relative error — merge the per-outcome distributions for the
-/// whole-server deep tail.
-fn print_sketches(sketches: &[granii_telemetry::SketchSnapshot]) {
-    if let Some(merged) = serve_load::merged_latency_sketch(sketches) {
+/// bounded relative error; the status `all` row is their whole-server merge.
+fn print_sketches(rows: &[LatencySketchStatus]) {
+    let Some(all) = rows.iter().find(|r| r.outcome == "all" && r.count > 0) else {
+        return;
+    };
+    println!(
+        "  sketch (ms)     p50 {:.3}  p95 {:.3}  p99 {:.3}  p999 {:.3}  (α={:.0}%, merged over outcomes)",
+        all.p50_ms,
+        all.p95_ms,
+        all.p99_ms,
+        all.p999_ms,
+        DEFAULT_SKETCH_ALPHA * 100.0
+    );
+    for row in rows.iter().filter(|r| r.outcome != "all" && r.count > 0) {
         println!(
-            "  sketch (ms)     p50 {:.3}  p95 {:.3}  p99 {:.3}  p999 {:.3}  (α={:.0}%, merged over outcomes)",
-            merged.p50_ns() / 1e6,
-            merged.p95_ns() / 1e6,
-            merged.p99_ns() / 1e6,
-            merged.p999_ns() / 1e6,
-            merged.alpha * 100.0
+            "    {:<10}    {:>6} reqs  p50 {:.3}  p99 {:.3}  p999 {:.3}",
+            row.outcome, row.count, row.p50_ms, row.p99_ms, row.p999_ms
         );
-        for snap in sketches {
-            if snap.count == 0 {
-                continue;
-            }
-            let outcome = snap.name.rsplit('.').next().unwrap_or(&snap.name);
-            println!(
-                "    {outcome:<10}    {:>6} reqs  p50 {:.3}  p99 {:.3}  p999 {:.3}",
-                snap.count,
-                snap.p50_ns() / 1e6,
-                snap.p99_ns() / 1e6,
-                snap.p999_ns() / 1e6
-            );
-        }
     }
 }
 
@@ -307,33 +301,4 @@ fn print_cache(stats: &ServeStats) {
         stats.cache_evictions,
         stats.cache_hit_rate * 100.0
     );
-}
-
-/// The per-tenant metering ledger under the zipf-skewed open-loop mix: who
-/// actually consumed the engine, ranked by charged time.
-fn print_metering(metering: &granii_serve::MeteringStatus) {
-    println!(
-        "  metering        {} requests  charged {:.2} ms  sheds {}  slo violations {}",
-        metering.total_requests,
-        metering.total_charged_ms,
-        metering.total_sheds,
-        metering.total_slo_violations
-    );
-    println!(
-        "    {:<16} {:>7} {:>8} {:>12} {:>10} {:>6} {:>6} {:>6}",
-        "tenant", "reqs", "batched", "charged-ms", "wait-ms", "share", "hit%", "shed"
-    );
-    for t in &metering.tenants {
-        println!(
-            "    {:<16} {:>7} {:>8} {:>12.3} {:>10.3} {:>6.2} {:>6.1} {:>6}",
-            t.fingerprint,
-            t.requests,
-            t.batched_requests,
-            t.charged_ms,
-            t.mean_queue_wait_ms,
-            t.mean_batch_share,
-            t.hit_rate * 100.0,
-            t.sheds
-        );
-    }
 }

@@ -82,29 +82,11 @@ pub struct LoadReport {
     pub latency: LatencySummary,
     /// The server's own counters at the end of the run.
     pub stats: ServeStats,
-    /// The server's per-outcome latency sketches (`serve.latency.hit` /
-    /// `.miss` / `.degraded`), captured before shutdown. Mergeable into one
-    /// whole-server distribution for deep-tail (p99/p999) quantiles the
-    /// exact per-client sample cannot resolve at small request counts.
-    pub latency_sketches: Vec<SketchSnapshot>,
-}
-
-/// Folds the per-outcome sketches into one whole-server latency
-/// distribution (the merge is exact: sketches are a commutative monoid).
-/// `None` when no sketch recorded anything.
-pub fn merged_latency_sketch(sketches: &[SketchSnapshot]) -> Option<SketchSnapshot> {
-    let mut merged: Option<SketchSnapshot> = None;
-    for snap in sketches.iter().filter(|s| s.count > 0) {
-        match merged.as_mut() {
-            Some(m) => m.merge(snap),
-            None => {
-                let mut m = snap.clone();
-                m.name = "serve.latency".to_owned();
-                merged = Some(m);
-            }
-        }
-    }
-    merged
+    /// Final live status snapshot, captured before shutdown. Its `latency`
+    /// rows carry the server's per-outcome sketch quantiles and their
+    /// whole-server `all` merge: deep-tail (p99/p999) figures the exact
+    /// per-client sample cannot resolve at small request counts.
+    pub status: granii_serve::ServerStatus,
 }
 
 /// Exact percentile of a sorted sample (nearest-rank interpolation-free);
@@ -176,7 +158,7 @@ pub fn run_load(granii: Arc<Granii>, workload: &[ServeRequest], cfg: &LoadConfig
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
     let stats = server.stats();
-    let latency_sketches = server.latency_sketches();
+    let status = server.status();
     server.shutdown();
 
     let mut all_latencies = Vec::new();
@@ -201,7 +183,7 @@ pub fn run_load(granii: Arc<Granii>, workload: &[ServeRequest], cfg: &LoadConfig
         },
         latency: summarize_latencies(&all_latencies),
         stats,
-        latency_sketches,
+        status,
     }
 }
 
@@ -265,11 +247,9 @@ pub struct OpenLoopReport {
     pub batch: SketchSnapshot,
     /// The server's own counters at the end of the run.
     pub stats: ServeStats,
-    /// Per-outcome latency sketches, as in [`LoadReport`].
-    pub latency_sketches: Vec<SketchSnapshot>,
-    /// Final live status snapshot; carries the per-tenant metering ledger
-    /// (`status.metering`) so the harness can report who consumed what
-    /// under the skewed open-loop tenant mix.
+    /// Final live status snapshot: latency rows as in [`LoadReport`], and
+    /// the per-tenant metering ledger (`status.metering`) so the harness
+    /// can report who consumed what under the skewed open-loop tenant mix.
     pub status: granii_serve::ServerStatus,
 }
 
@@ -381,7 +361,6 @@ pub fn run_open_loop(
     let wall_seconds = t0.elapsed().as_secs_f64();
     let stats = server.stats();
     let batch = server.batch_sketch();
-    let latency_sketches = server.latency_sketches();
     let status = server.status();
     server.shutdown();
 
@@ -413,7 +392,6 @@ pub fn run_open_loop(
         latency: summarize_latencies(&all_latencies),
         batch,
         stats,
-        latency_sketches,
         status,
     }
 }
@@ -572,28 +550,5 @@ mod tests {
                 uniform.len()
             );
         }
-    }
-
-    #[test]
-    fn merged_sketch_folds_outcomes_and_skips_empty() {
-        use granii_telemetry::Sketch;
-        let hit = Sketch::new(0.01);
-        let miss = Sketch::new(0.01);
-        for ns in [1_000_000u64, 2_000_000, 3_000_000] {
-            hit.record_ns(ns);
-        }
-        miss.record_ns(50_000_000);
-        let degraded = Sketch::new(0.01); // never recorded
-        let snaps = vec![
-            hit.snapshot("serve.latency.hit"),
-            miss.snapshot("serve.latency.miss"),
-            degraded.snapshot("serve.latency.degraded"),
-        ];
-        let merged = merged_latency_sketch(&snaps).expect("non-empty merge");
-        assert_eq!(merged.name, "serve.latency");
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.max_ns, 50_000_000);
-        assert_eq!(merged.min_ns, 1_000_000);
-        assert!(merged_latency_sketch(&[]).is_none());
     }
 }

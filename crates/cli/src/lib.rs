@@ -810,56 +810,13 @@ fn cmd_top(args: &Args) -> Result<String, CliError> {
         let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let status = granii_serve::ServerStatus::from_json(&json)
             .map_err(|e| format!("parse {path}: {e}"))?;
-        let m = &status.metering;
         writeln!(
             out,
-            "granii top — uptime {:.1}s | {} metered requests | charged {:.2} ms | \
-             {:.3e} flops | {:.3e} bytes | sheds {} | slo violations {}",
-            status.uptime_seconds,
-            m.total_requests,
-            m.total_charged_ms,
-            m.total_flops,
-            m.total_bytes,
-            m.total_sheds,
-            m.total_slo_violations
+            "granii top — uptime {:.1}s | metered requests by tenant, charged time descending",
+            status.uptime_seconds
         )
         .expect("fmt");
-        if m.tenants.is_empty() {
-            out.push_str("  (no tenants metered yet)\n");
-            continue;
-        }
-        writeln!(
-            out,
-            "  {:<16} {:>7} {:>8} {:>12} {:>10} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            "tenant",
-            "reqs",
-            "batched",
-            "charged-ms",
-            "wait-ms",
-            "share",
-            "hit%",
-            "shed",
-            "degr",
-            "slo"
-        )
-        .expect("fmt");
-        for t in &m.tenants {
-            writeln!(
-                out,
-                "  {:<16} {:>7} {:>8} {:>12.3} {:>10.3} {:>6.2} {:>6.1} {:>6} {:>6} {:>6}",
-                t.fingerprint,
-                t.requests,
-                t.batched_requests,
-                t.charged_ms,
-                t.mean_queue_wait_ms,
-                t.mean_batch_share,
-                t.hit_rate * 100.0,
-                t.sheds,
-                t.degraded,
-                t.slo_violations
-            )
-            .expect("fmt");
-        }
+        write!(out, "{}", status.metering).expect("fmt");
     }
     Ok(out)
 }

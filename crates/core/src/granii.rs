@@ -98,8 +98,12 @@ impl Granii {
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors.
+    /// Returns the [`LayerConfig::validate`] error for an invalid config —
+    /// also when the model's plan is already cached (the cache is keyed on
+    /// `(model, hops)`, so a lookup alone would accept `k2 = 0`) — and
+    /// propagates compilation errors.
     pub fn compiled(&self, model: ModelKind, cfg: LayerConfig) -> Result<Arc<CompiledModel>> {
+        cfg.validate()?;
         let key = (model, cfg.hops);
         if let Some(plan) = self.plans.read().get(&key) {
             return Ok(plan.clone());
@@ -229,6 +233,24 @@ mod tests {
         assert!(
             Arc::ptr_eq(&a, &b),
             "same hops must share the compiled plan"
+        );
+    }
+
+    #[test]
+    fn warm_plan_cache_still_rejects_invalid_configs() {
+        let granii = Granii::with_cost_models(CostModelSet::new(
+            DeviceKind::Cpu,
+            BTreeMap::new(),
+            BTreeMap::new(),
+        ));
+        let invalid = LayerConfig::new(8, 0);
+        assert!(granii.compiled(ModelKind::Gcn, invalid).is_err());
+        granii
+            .compiled(ModelKind::Gcn, LayerConfig::new(8, 4))
+            .unwrap();
+        assert!(
+            granii.compiled(ModelKind::Gcn, invalid).is_err(),
+            "a cached (model, hops) plan must not admit k2 = 0"
         );
     }
 

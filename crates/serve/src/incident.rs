@@ -5,12 +5,13 @@
 //! drift, SLO burn, shed storms — but detection alone leaves the operator
 //! with a counter and no context. The incident capturer turns a trigger
 //! into a correlated **bundle**: the flight-recorder ring around the
-//! anomaly ([`crate::recorder`]), the full [`ServerStatus`], merged
-//! latency/batch sketch quantiles, a non-destructive snapshot of recent
-//! structured events, and — the paper's own question — the triggering
-//! signature's **selection audit**: which composition was chosen, what
-//! every candidate's predicted cost was, and the input statistics that
-//! keyed the choice. One JSON artifact answers "which input statistics
+//! anomaly ([`crate::recorder`]), the full [`ServerStatus`] (which carries
+//! the recorder health and the latency quantiles, the whole-server merge
+//! included — the bundle keeps no second copy of server state), a
+//! non-destructive snapshot of recent structured events, and — the
+//! paper's own question — the triggering signature's **selection audit**:
+//! which composition was chosen, what every candidate's predicted cost
+//! was, and the input statistics that keyed the choice. One JSON artifact answers "which input statistics
 //! drove the primitive selection that misbehaved".
 //!
 //! Capture is rate-limited (cooldown + max-per-window) so a burn storm
@@ -189,34 +190,19 @@ impl IncidentTrigger {
     }
 }
 
-/// The selection decision behind one signature's cached plan, captured at
-/// bind time (the only moment the per-candidate costs exist).
-#[derive(Debug, Clone)]
-pub struct SelectionAudit {
-    /// Chosen composition name.
-    pub composition: String,
-    /// Whether the degraded (default-composition) path chose it.
-    pub degraded: bool,
-    /// Every candidate's predicted steady-state seconds, selection order.
-    pub predicted: Vec<(String, f64)>,
-    /// The input statistics selection keyed on (absent when the inspector
-    /// is disabled).
-    pub profile: Option<InputProfile>,
-    /// Microseconds since the trace epoch when the plan was bound.
-    pub captured_at_us: u64,
-}
-
-/// Bounded per-signature table of [`SelectionAudit`]s, FIFO-evicted.
-/// Separate from the plan cache on purpose: invalidation precedes capture.
+/// Bounded per-signature table of [`SelectionAuditInfo`]s, recorded at
+/// bind time (the only moment the per-candidate costs exist) and
+/// FIFO-evicted. Separate from the plan cache on purpose: invalidation
+/// precedes capture.
 #[derive(Default)]
 pub struct AuditTable {
-    entries: Mutex<VecDeque<(PlanKey, SelectionAudit)>>,
+    entries: Mutex<VecDeque<(PlanKey, SelectionAuditInfo)>>,
 }
 
 impl AuditTable {
     /// Records (or replaces) `key`'s audit; evicts oldest beyond
     /// [`AUDIT_CAPACITY`].
-    pub fn record(&self, key: PlanKey, audit: SelectionAudit) {
+    pub fn record(&self, key: PlanKey, audit: SelectionAuditInfo) {
         let mut entries = self.lock();
         entries.retain(|(k, _)| *k != key);
         if entries.len() >= AUDIT_CAPACITY {
@@ -226,7 +212,7 @@ impl AuditTable {
     }
 
     /// The most recent audit for `key`, if still retained.
-    pub fn get(&self, key: PlanKey) -> Option<SelectionAudit> {
+    pub fn get(&self, key: PlanKey) -> Option<SelectionAuditInfo> {
         self.lock()
             .iter()
             .rev()
@@ -244,7 +230,7 @@ impl AuditTable {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(PlanKey, SelectionAudit)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(PlanKey, SelectionAuditInfo)>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -413,7 +399,21 @@ pub struct InputStats {
     pub density: f64,
 }
 
-/// The triggering signature's selection audit, flattened for the artifact.
+impl From<InputProfile> for InputStats {
+    fn from(p: InputProfile) -> Self {
+        InputStats {
+            bands: p.bands.to_vec(),
+            avg_degree: p.avg_degree,
+            degree_cv: p.degree_cv,
+            density: p.density,
+        }
+    }
+}
+
+/// One signature's selection decision, captured when its plan was bound:
+/// the chosen composition, every candidate's predicted cost, and the input
+/// statistics that keyed the choice. A bundle carries the triggering
+/// signature's audit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SelectionAuditInfo {
     /// Model family.
@@ -435,80 +435,6 @@ pub struct SelectionAuditInfo {
     pub input: Option<InputStats>,
     /// Microseconds since the trace epoch when the plan was bound.
     pub captured_at_us: u64,
-}
-
-impl SelectionAuditInfo {
-    /// Flattens a stored audit for `key`.
-    pub fn from_audit(key: PlanKey, audit: &SelectionAudit) -> Self {
-        SelectionAuditInfo {
-            model: key.0.name().to_owned(),
-            fingerprint: hex(key.1),
-            k1: key.2 as u64,
-            k2: key.3 as u64,
-            composition: audit.composition.clone(),
-            degraded: audit.degraded,
-            predicted: audit
-                .predicted
-                .iter()
-                .map(|(name, seconds)| CandidateCost {
-                    composition: name.clone(),
-                    predicted_seconds: *seconds,
-                })
-                .collect(),
-            input: audit.profile.map(|p| InputStats {
-                bands: p.bands.to_vec(),
-                avg_degree: p.avg_degree,
-                degree_cv: p.degree_cv,
-                density: p.density,
-            }),
-            captured_at_us: audit.captured_at_us,
-        }
-    }
-}
-
-/// Merged sketch quantiles (milliseconds for latency, raw for batch size).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchSummary {
-    /// Sketch name.
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Mean in nanoseconds (latency) or raw units (batch size).
-    pub mean_ns: f64,
-    /// Median.
-    pub p50_ns: f64,
-    /// 95th percentile.
-    pub p95_ns: f64,
-    /// 99th percentile.
-    pub p99_ns: f64,
-    /// 99.9th percentile.
-    pub p999_ns: f64,
-}
-
-impl SketchSummary {
-    /// Summarizes one sketch snapshot.
-    pub fn from_snapshot(s: &granii_telemetry::SketchSnapshot) -> Self {
-        SketchSummary {
-            name: s.name.clone(),
-            count: s.count,
-            mean_ns: s.mean_ns(),
-            p50_ns: s.p50_ns(),
-            p95_ns: s.p95_ns(),
-            p99_ns: s.p99_ns(),
-            p999_ns: s.p999_ns(),
-        }
-    }
-}
-
-/// Flight-recorder health at capture time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecorderInfo {
-    /// Ring capacity in records.
-    pub capacity: u64,
-    /// Records ever claimed.
-    pub written: u64,
-    /// Records dropped on slot collision.
-    pub dropped: u64,
 }
 
 /// One column of the on-host time-series ring, flattened for the artifact.
@@ -571,23 +497,20 @@ pub struct IncidentBundle {
     pub captured_at_us: u64,
     /// What fired.
     pub trigger: TriggerInfo,
-    /// Flight-recorder health at capture.
-    pub recorder: RecorderInfo,
     /// The ring excerpt, oldest-first (bounded by `ring_tail`).
     pub ring: Vec<RingEntry>,
     /// The triggering signature's selection audit, when one is retained.
     pub selection: Option<SelectionAuditInfo>,
-    /// Merged latency sketch + batch-size sketch quantiles.
-    pub sketches: Vec<SketchSummary>,
     /// Recent structured telemetry events, oldest-first, rendered as
     /// `name key=value ...` lines (empty when telemetry is disabled).
     pub events: Vec<String>,
-    /// Telemetry events dropped by the bounded sink so far.
-    pub events_dropped: u64,
     /// The time-series ring tail at capture (`None` in bundles captured
     /// before the timeline existed, or when the sampler is disabled).
     pub timeline: Option<TimelineInfo>,
-    /// The full live status snapshot.
+    /// The full live status snapshot: recorder health
+    /// (`status.recorder`, including telemetry events dropped) and latency
+    /// quantiles per outcome plus the whole-server `all` row
+    /// (`status.latency`) live here, not in bundle-level copies.
     pub status: ServerStatus,
 }
 
@@ -630,10 +553,11 @@ impl fmt::Display for IncidentBundle {
                 )
             }
         )?;
+        let recorder = &self.status.recorder;
         writeln!(
             f,
             "  recorder  {} written | {} dropped | ring capacity {}",
-            self.recorder.written, self.recorder.dropped, self.recorder.capacity
+            recorder.written, recorder.dropped, recorder.capacity
         )?;
         if let Some(sel) = &self.selection {
             writeln!(
@@ -671,13 +595,6 @@ impl fmt::Display for IncidentBundle {
                 )?;
             }
         }
-        for s in &self.sketches {
-            writeln!(
-                f,
-                "  sketch    {:<20} n={:<8} p50 {:.0} p95 {:.0} p99 {:.0} p999 {:.0}",
-                s.name, s.count, s.p50_ns, s.p95_ns, s.p99_ns, s.p999_ns
-            )?;
-        }
         if let Some(timeline) = &self.timeline {
             writeln!(
                 f,
@@ -691,7 +608,7 @@ impl fmt::Display for IncidentBundle {
             "  ring      {} records ({} telemetry events attached, {} dropped)",
             self.ring.len(),
             self.events.len(),
-            self.events_dropped
+            recorder.events_dropped
         )?;
         let t0 = self.ring.first().map(|r| r.ts_us).unwrap_or(0);
         for r in &self.ring {
@@ -953,13 +870,31 @@ mod tests {
             input: Vec::new(),
             slo: Vec::new(),
             latency: Vec::new(),
-            recorder: crate::status::RecorderStatus::default(),
+            recorder: crate::status::RecorderStatus {
+                capacity: 4096,
+                written: 123,
+                ..crate::status::RecorderStatus::default()
+            },
             metering: crate::status::MeteringStatus::default(),
         }
     }
 
     fn key() -> PlanKey {
         (ModelKind::Gcn, 0x5eed_f00d, 64, 32)
+    }
+
+    fn audit(composition: &str) -> SelectionAuditInfo {
+        SelectionAuditInfo {
+            model: "gcn".to_owned(),
+            fingerprint: hex(key().1),
+            k1: 64,
+            k2: 32,
+            composition: composition.to_owned(),
+            degraded: false,
+            predicted: Vec::new(),
+            input: None,
+            captured_at_us: 0,
+        }
     }
 
     fn sample_bundle() -> IncidentBundle {
@@ -972,11 +907,6 @@ mod tests {
             seq: 1,
             captured_at_us: 1_500_000,
             trigger: trigger.info(),
-            recorder: RecorderInfo {
-                capacity: 4096,
-                written: 123,
-                dropped: 0,
-            },
             ring: vec![RingEntry::from_record(&FlightRecord {
                 seq: 9,
                 ts_us: 1_400_000,
@@ -991,27 +921,27 @@ mod tests {
                     live_avg_degree: 9.5,
                 },
             })],
-            selection: Some(SelectionAuditInfo::from_audit(
-                key(),
-                &SelectionAudit {
-                    composition: "gspmm_fused".to_owned(),
-                    degraded: false,
-                    predicted: vec![
-                        ("gspmm_fused".to_owned(), 0.0011),
-                        ("gemm_then_gspmm".to_owned(), 0.0042),
-                    ],
-                    profile: Some(InputProfile {
-                        bands: [0.0, 0.9, 0.1, 0.0, 0.0],
-                        avg_degree: 3.5,
-                        degree_cv: 0.8,
-                        density: 0.01,
-                    }),
-                    captured_at_us: 900_000,
-                },
-            )),
-            sketches: Vec::new(),
+            selection: Some(SelectionAuditInfo {
+                predicted: vec![
+                    CandidateCost {
+                        composition: "gspmm_fused".to_owned(),
+                        predicted_seconds: 0.0011,
+                    },
+                    CandidateCost {
+                        composition: "gemm_then_gspmm".to_owned(),
+                        predicted_seconds: 0.0042,
+                    },
+                ],
+                input: Some(InputStats::from(InputProfile {
+                    bands: [0.0, 0.9, 0.1, 0.0, 0.0],
+                    avg_degree: 3.5,
+                    degree_cv: 0.8,
+                    density: 0.01,
+                })),
+                captured_at_us: 900_000,
+                ..audit("gspmm_fused")
+            }),
             events: vec!["serve.input_drift ts_us=1400000 id=7".to_owned()],
-            events_dropped: 0,
             timeline: Some(TimelineInfo {
                 at_ns: vec![1_000_000, 2_000_000],
                 columns: vec![TimelineColumnInfo {
@@ -1064,6 +994,43 @@ mod tests {
         assert!(!json.contains("\"at_ns\""));
         let parsed = IncidentBundle::from_json(&json).unwrap();
         assert!(parsed.timeline.is_none());
+    }
+
+    #[test]
+    fn bundles_with_top_level_server_state_still_parse() {
+        // Bundles captured before the bundle kept server state only in its
+        // embedded status carried top-level `recorder`, `sketches`, and
+        // `events_dropped` keys. The derive skips unknown keys, so those
+        // artifacts must still parse and render.
+        let json = sample_bundle().to_json();
+        let legacy = json.replacen(
+            '{',
+            r#"{"recorder":{"capacity":4096,"written":123,"dropped":0},"sketches":[{"name":"serve.latency.all","count":9,"mean_ns":1.0,"p50_ns":1.0,"p95_ns":1.0,"p99_ns":1.0,"p999_ns":1.0}],"events_dropped":0,"#,
+            1,
+        );
+        assert!(legacy.contains("\"sketches\"") && legacy.contains("\"events_dropped\""));
+        let parsed = IncidentBundle::from_json(&legacy).expect("legacy bundle parses");
+        assert_eq!(parsed.seq, 1);
+        assert_eq!(parsed.trigger.kind, "input_drift");
+        assert_eq!(parsed.status.recorder.written, 123);
+        let text = parsed.to_string();
+        assert!(text.contains("incident #1"));
+        assert!(text.contains("recorder  123 written"));
+        assert!(text.contains("<- chosen"));
+    }
+
+    #[test]
+    fn new_bundles_keep_server_state_only_in_status() {
+        let value = serde::Serialize::serialize(&sample_bundle());
+        let top = value.as_object().expect("bundle is an object");
+        for key in ["recorder", "sketches", "events_dropped"] {
+            assert!(!top.contains_key(key), "top-level {key} duplicates status");
+        }
+        let status = top["status"].as_object().expect("status object");
+        assert!(status["recorder"]
+            .as_object()
+            .unwrap()
+            .contains_key("events_dropped"));
     }
 
     #[test]
@@ -1152,13 +1119,6 @@ mod tests {
     #[test]
     fn audit_table_replaces_and_evicts_fifo() {
         let table = AuditTable::default();
-        let audit = |name: &str| SelectionAudit {
-            composition: name.to_owned(),
-            degraded: false,
-            predicted: Vec::new(),
-            profile: None,
-            captured_at_us: 0,
-        };
         table.record(key(), audit("first"));
         table.record(key(), audit("second"));
         assert_eq!(table.len(), 1, "same key replaces");

@@ -56,19 +56,22 @@
 //!   cache traffic, drift flags, SLO burn, completion. Writers never
 //!   block (collisions drop-and-count); readers snapshot without
 //!   destroying. When a detector fires, the [`IncidentCapturer`]
-//!   assembles a correlated [`IncidentBundle`] — ring excerpt, full
-//!   status, merged sketches, and the triggering signature's selection
-//!   audit (chosen composition, per-candidate predicted costs, and the
-//!   input statistics that keyed the choice) — as one JSON artifact,
-//!   rate-limited by cooldown + max-per-window.
-//! - **Per-tenant resource metering** ([`MeterTable`]): a lock-free
-//!   CAS-slot ledger keyed on tenant fingerprint accumulating engine
+//!   assembles a correlated [`IncidentBundle`] — ring excerpt, recent
+//!   events, the triggering signature's selection audit (chosen
+//!   composition, per-candidate predicted costs, and the input statistics
+//!   that keyed the choice, recorded at bind time), and the full
+//!   [`ServerStatus`], the bundle's only copy of server state (recorder
+//!   health, and latency quantiles per outcome plus the whole-server
+//!   `all` row) — as one JSON artifact, rate-limited by cooldown +
+//!   max-per-window.
+//! - **Per-tenant resource metering** ([`TenantTable`], the same table as
+//!   the fairness bound): each tenant's slot also accumulates engine
 //!   charges, flops/bytes, queue wait, batch share, cache traffic, sheds,
-//!   degradations, and SLO violations per tenant — with *exact* integer
-//!   attribution (the sum of per-tenant charges equals the server totals
-//!   bitwise, even for batched execution). Surfaces as a ranked
-//!   "top tenants" table in [`ServerStatus`] and per-tenant time-series
-//!   rows.
+//!   degradations, and SLO violations — with *exact* integer attribution
+//!   (the sum of per-tenant charges equals the server totals bitwise, even
+//!   for batched execution). Surfaces as a ranked "top tenants" table in
+//!   [`ServerStatus`] (one rendering, [`MeteringStatus`]'s `Display`) and
+//!   per-tenant time-series rows.
 //! - **On-host time-series ring** ([`TimelineConfig`]): a background
 //!   sampler captures periodic frames of the server's counters, gauges,
 //!   and sketch quantiles into a fixed-capacity
@@ -108,29 +111,26 @@ mod cache;
 mod detector;
 mod drift;
 mod error;
-mod fairness;
 mod incident;
 mod inspect;
-mod metering;
 mod recorder;
 mod scrape;
 mod server;
 mod slo;
 mod status;
+mod tenants;
 mod trace;
 
 pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use drift::{DriftConfig, DriftDetector, DriftRow, DriftVerdict};
 pub use error::{Result, ServeError};
-pub use fairness::{TenantRow, TenantTable};
 pub use incident::{
-    IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry, SelectionAudit,
+    IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RingEntry,
     SelectionAuditInfo, TimelineColumnInfo, TimelineInfo, TriggerInfo, AUDIT_CAPACITY,
 };
 pub use inspect::{
     InputInspector, InputProfile, InputRow, InspectConfig, InspectVerdict, DEGREE_BANDS,
 };
-pub use metering::{exact_share, MeterCharge, MeterRow, MeterTable};
 pub use recorder::{FlightRecord, FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
 pub use scrape::{render_prometheus, start_scrape, ScrapeConfig, ScrapeHandle};
 pub use server::{
@@ -143,4 +143,5 @@ pub use status::{
     LatencySketchStatus, MeteringStatus, RecorderStatus, ServerStatus, SloObjectiveStatus,
     TenantMeterStatus, TenantStatus, WorkerStatus,
 };
+pub use tenants::{exact_share, MeterCharge, MeterRow, TenantTable};
 pub use trace::{RequestTrace, BATCH_TRACE_LANE, TRACE_LANE_BASE};

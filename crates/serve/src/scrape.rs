@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::status::ServerStatus;
+use crate::status::{ServerStatus, ALL_OUTCOMES};
 
 /// Scrape-listener tuning.
 #[derive(Debug, Clone)]
@@ -396,14 +396,16 @@ pub fn render_prometheus(status: &ServerStatus) -> String {
     }
 
     // Latency sketches as Prometheus summaries: quantile-labeled samples
-    // plus the _sum/_count pair, one series set per outcome class.
+    // plus the _sum/_count pair, one series set per outcome class. The
+    // status `all` row is skipped: the `outcome` label partitions requests,
+    // so summing `_count` across it must not count a request twice.
     family(
         &mut out,
         "granii_serve_latency_ms",
         "summary",
         "Request latency quantiles (milliseconds) by outcome.",
     );
-    for row in &status.latency {
+    for row in status.latency.iter().filter(|r| r.outcome != ALL_OUTCOMES) {
         for (q, value) in [
             ("0.5", row.p50_ms),
             ("0.95", row.p95_ms),

@@ -3,7 +3,7 @@
 //!
 //! Admission is a bounded lock-free MPMC ring ([`crossbeam::queue::ArrayQueue`])
 //! with shed-don't-block semantics and a per-tenant fairness bound
-//! ([`crate::fairness::TenantTable`]); workers drain the ring into
+//! ([`crate::tenants::TenantTable`]); workers drain the ring into
 //! signature-keyed batch groups and execute each group as one multi-RHS
 //! `iterate_batched` (column-stacked blocks, bitwise identical to serial
 //! per-request execution — see DESIGN.md §12).
@@ -30,21 +30,20 @@ use granii_telemetry::{
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::drift::{DriftConfig, DriftDetector, DriftVerdict};
-use crate::fairness::TenantTable;
 use crate::incident::{
-    render_events, IncidentBundle, IncidentCapturer, IncidentConfig, IncidentTrigger, RecorderInfo,
-    RingEntry, SelectionAudit, SelectionAuditInfo, SketchSummary, TimelineInfo,
+    render_events, CandidateCost, IncidentBundle, IncidentCapturer, IncidentConfig,
+    IncidentTrigger, InputStats, RingEntry, SelectionAuditInfo, TimelineInfo,
 };
 use crate::inspect::{InputInspector, InputProfile, InspectConfig, InspectVerdict};
-use crate::metering::{exact_share, MeterCharge, MeterRow, MeterTable};
 use crate::recorder::{FlightRecorder, RecordKind, RecorderConfig, MAX_BATCH_MEMBERS};
 use crate::scrape::{ScrapeConfig, ScrapeHandle};
 use crate::slo::{Outcome, SloConfig, SloMonitor, SloVerdict};
 use crate::status::{
     hex_fp, BatchingStatus, CacheStatus, DriftSignatureStatus, FairnessStatus,
     InputSignatureStatus, LatencySketchStatus, MeteringStatus, RecorderStatus, ServerStatus,
-    SloObjectiveStatus, TenantMeterStatus, TenantStatus, WorkerStatus,
+    SloObjectiveStatus, TenantMeterStatus, TenantStatus, WorkerStatus, ALL_OUTCOMES,
 };
+use crate::tenants::{exact_share, MeterCharge, MeterRow, TenantTable};
 use crate::trace::{self, RequestTrace};
 use crate::{Result, ServeError};
 
@@ -398,6 +397,8 @@ struct Inner {
     /// `max(queue_depth, 1)`; a configured depth of 0 sheds before ever
     /// touching the ring.
     queue: ArrayQueue<Job>,
+    /// Lock-free per-tenant admission bound and resource ledger (see
+    /// [`crate::tenants`]).
     tenants: TenantTable,
     shutdown: AtomicBool,
     /// Submits currently inside the admission window (shutdown-check →
@@ -420,8 +421,6 @@ struct Inner {
     /// (two workers can finish groups simultaneously; the exporter needs
     /// distinct seqs).
     batch_trace_seq: AtomicU64,
-    /// Lock-free per-tenant resource ledger (see [`crate::metering`]).
-    metering: MeterTable,
     /// On-host time-series ring (always present; populated by the sampler
     /// thread when `TimelineConfig::enabled`).
     timeline: Arc<TimeSeriesRing>,
@@ -541,7 +540,6 @@ impl Server {
             recorder: FlightRecorder::new(config.recorder),
             incidents: IncidentCapturer::new(config.incident.clone()),
             batch_trace_seq: AtomicU64::new(0),
-            metering: MeterTable::new(),
             timeline: Arc::new(TimeSeriesRing::new(config.timeline.capacity)),
             config: config.clone(),
             counters: Counters::default(),
@@ -742,16 +740,16 @@ impl Server {
     }
 
     /// Per-tenant meter rows, engine-charged time descending (the ranked
-    /// "top tenants" view; see [`crate::metering::MeterTable::rows`]).
+    /// "top tenants" view; see [`crate::tenants::TenantTable::rows`]).
     pub fn metering_rows(&self) -> Vec<MeterRow> {
-        self.inner.metering.rows()
+        self.inner.tenants.rows()
     }
 
     /// The server-wide metering totals row. The sum of every
     /// [`Server::metering_rows`] counter equals this row exactly — the
     /// ledger attributes integers, never averages.
     pub fn metering_totals(&self) -> MeterRow {
-        self.inner.metering.totals()
+        self.inner.tenants.totals()
     }
 
     /// A snapshot of the on-host time-series ring (empty when the sampler
@@ -843,10 +841,10 @@ impl Inner {
         let uptime_seconds = self.started.elapsed().as_secs_f64();
         let completed = stats.completed.max(1) as f64;
         let batch_sketch = self.batch_sizes.snapshot("serve.batch.size");
-        // One ledger walk feeds the metering section AND the per-tenant
-        // request counts on the drift/input tables.
-        let meter_rows = self.metering.rows();
-        let meter_totals = self.metering.totals();
+        // One tenant-table walk feeds the fairness and metering sections
+        // AND the per-tenant request counts on the drift/input tables.
+        let (admission_rows, meter_rows) = self.tenants.views();
+        let meter_totals = self.tenants.totals();
         let requests_for = |fingerprint: u64| {
             meter_rows
                 .iter()
@@ -888,15 +886,13 @@ impl Inner {
             fairness: FairnessStatus {
                 tenant_queue_cap: self.tenants.cap(),
                 tenant_shed: stats.tenant_shed,
-                tenants: self
-                    .tenants
-                    .rows()
+                tenants: admission_rows
                     .into_iter()
                     .map(|row| TenantStatus {
                         fingerprint: hex_fp(row.fingerprint),
                         queued: row.queued,
                         admitted: row.admitted,
-                        shed: row.shed,
+                        shed: row.tenant_shed,
                     })
                     .collect(),
             },
@@ -991,20 +987,30 @@ impl Inner {
                     windows_closed: row.windows_closed,
                 })
                 .collect(),
-            latency: self
-                .latency
-                .snapshots()
-                .into_iter()
-                .map(|s| LatencySketchStatus {
-                    outcome: s.name.rsplit('.').next().unwrap_or(&s.name).to_owned(),
-                    count: s.count,
-                    mean_ms: s.mean_ns() / 1e6,
-                    p50_ms: s.p50_ns() / 1e6,
-                    p95_ms: s.p95_ns() / 1e6,
-                    p99_ms: s.p99_ns() / 1e6,
-                    p999_ms: s.p999_ns() / 1e6,
-                })
-                .collect(),
+            latency: {
+                // Per-outcome rows, then their merge: summary quantiles
+                // cannot be re-aggregated across outcomes, so the server
+                // exports the whole-server distribution itself.
+                let mut sketches = self.latency.snapshots();
+                let mut all = sketches[0].clone();
+                for s in &sketches[1..] {
+                    all.merge(s);
+                }
+                all.name = format!("serve.latency.{ALL_OUTCOMES}");
+                sketches.push(all);
+                sketches
+                    .into_iter()
+                    .map(|s| LatencySketchStatus {
+                        outcome: s.name.rsplit('.').next().unwrap_or(&s.name).to_owned(),
+                        count: s.count,
+                        mean_ms: s.mean_ns() / 1e6,
+                        p50_ms: s.p50_ns() / 1e6,
+                        p95_ms: s.p95_ns() / 1e6,
+                        p99_ms: s.p99_ns() / 1e6,
+                        p999_ms: s.p999_ns() / 1e6,
+                    })
+                    .collect()
+            },
             recorder: RecorderStatus {
                 capacity: self.recorder.capacity() as u64,
                 written: self.recorder.written(),
@@ -1093,7 +1099,7 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
         samples.push((cols.cache_entries, stats.cache_len as f64));
         samples.push((
             cols.charged_ms,
-            inner.metering.totals().charged_ns as f64 / 1e6,
+            inner.tenants.totals().charged_ns as f64 / 1e6,
         ));
         samples.push((
             cols.hit_p95_ms,
@@ -1103,7 +1109,7 @@ fn start_timeline_sampler(inner: &Arc<Inner>) -> SamplerHandle {
             cols.miss_p95_ms,
             inner.latency.miss.snapshot("serve.latency.miss").p95_ns() / 1e6,
         ));
-        inner.metering.for_each(|row| {
+        inner.tenants.for_each(|row| {
             let (charged, requests) = *tenant_cols.entry(row.fingerprint).or_insert_with(|| {
                 let fp = hex_fp(row.fingerprint);
                 (
@@ -1145,7 +1151,7 @@ fn start_scrape_listener(inner: &Arc<Inner>) -> Option<ScrapeHandle> {
 /// record, and the shed-storm incident trigger.
 fn shed(inner: &Inner, id: u64, key: PlanKey, depth: usize, reason: &'static str) -> ServeError {
     inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-    inner.metering.note_shed(key.1);
+    inner.tenants.note_shed(key.1);
     granii_telemetry::counter_add("serve.shed", 1);
     granii_telemetry::gauge_set("serve.queue_depth", depth as f64);
     granii_telemetry::gauge_set("serve.cache_hit_rate", inner.cache.hit_rate());
@@ -1480,7 +1486,7 @@ fn process_batch(
             t.finish(request.model.name(), cache_hit, degraded);
         }
         let (charged_ns, flops, bytes) = member.share;
-        inner.metering.record(
+        inner.tenants.record(
             key.1,
             &MeterCharge {
                 charged_ns,
@@ -1630,7 +1636,7 @@ fn finish_job(
             if inner.slo.config().objectives.iter().any(|objective| {
                 objective.outcome == outcome && latency_ns as f64 > objective.threshold_ms * 1e6
             }) {
-                inner.metering.note_slo_violation(key.1);
+                inner.tenants.note_slo_violation(key.1);
             }
             inner.latency.for_outcome(outcome).record_ns(latency_ns);
             granii_telemetry::sketch_record_ns(metric, latency_ns);
@@ -1832,11 +1838,21 @@ fn bind_miss(
     let select_seconds = t_select.elapsed().as_secs_f64();
     inner.incidents.audits().record(
         key,
-        SelectionAudit {
+        SelectionAuditInfo {
+            model: key.0.name().to_owned(),
+            fingerprint: hex_fp(key.1),
+            k1: key.2 as u64,
+            k2: key.3 as u64,
             composition: composition.name(),
             degraded,
-            predicted: predicted.into_iter().map(|(c, s)| (c.name(), s)).collect(),
-            profile,
+            predicted: predicted
+                .into_iter()
+                .map(|(c, predicted_seconds)| CandidateCost {
+                    composition: c.name(),
+                    predicted_seconds,
+                })
+                .collect(),
+            input: profile.map(InputStats::from),
             captured_at_us: granii_telemetry::now_us(),
         },
     );
@@ -1978,31 +1994,9 @@ fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
     // The triggering signature's selection audit, when the table still
     // holds it (the audit table is separate from the plan cache precisely
     // because the flag invalidated the cache entry a moment ago).
-    let selection = trigger.key().and_then(|key| {
-        inner
-            .incidents
-            .audits()
-            .get(key)
-            .map(|audit| SelectionAuditInfo::from_audit(key, &audit))
-    });
-    // Sketches: the three per-outcome latency sketches, their merge (one
-    // whole-server latency distribution), and the batch-size sketch.
-    let mut sketches = Vec::new();
-    let latency = inner.latency.snapshots();
-    let mut merged = latency.first().cloned();
-    for snapshot in latency.iter().skip(1) {
-        if let Some(m) = merged.as_mut() {
-            m.merge(snapshot);
-        }
-    }
-    if let Some(mut m) = merged {
-        m.name = "serve.latency.all".to_owned();
-        sketches.push(SketchSummary::from_snapshot(&m));
-    }
-    sketches.extend(latency.iter().map(SketchSummary::from_snapshot));
-    sketches.push(SketchSummary::from_snapshot(
-        &inner.batch_sizes.snapshot("serve.batch.size"),
-    ));
+    let selection = trigger
+        .key()
+        .and_then(|key| inner.incidents.audits().get(key));
     let events = render_events(
         &granii_telemetry::snapshot_events(),
         inner.incidents.config().event_tail,
@@ -2011,16 +2005,9 @@ fn capture_incident(inner: &Inner, trigger: IncidentTrigger) {
         seq,
         captured_at_us: granii_telemetry::now_us(),
         trigger: trigger.info(),
-        recorder: RecorderInfo {
-            capacity: inner.recorder.capacity() as u64,
-            written: inner.recorder.written(),
-            dropped: inner.recorder.dropped(),
-        },
         ring,
         selection,
-        sketches,
         events,
-        events_dropped: granii_telemetry::events_dropped(),
         // The last minutes of the sampled timeline — empty ring (sampler
         // disabled, or the incident beat the first tick) attaches nothing.
         timeline: {

@@ -140,11 +140,16 @@ pub struct SloObjectiveStatus {
     pub windows_closed: u64,
 }
 
+/// The [`LatencySketchStatus::outcome`] of the whole-server row: the merge
+/// of every per-outcome sketch.
+pub(crate) const ALL_OUTCOMES: &str = "all";
+
 /// Per-outcome latency quantiles from the server's bounded-relative-error
 /// sketches.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencySketchStatus {
-    /// Outcome class (`hit`, `miss`, `degraded`).
+    /// Outcome class (`hit`, `miss`, `degraded`), or `all` for the
+    /// whole-server merge of the three.
     pub outcome: String,
     /// Requests recorded.
     pub count: u64,
@@ -271,8 +276,8 @@ pub struct TenantMeterStatus {
     pub slo_violations: u64,
 }
 
-impl From<crate::metering::MeterRow> for TenantMeterStatus {
-    fn from(row: crate::metering::MeterRow) -> Self {
+impl From<crate::MeterRow> for TenantMeterStatus {
+    fn from(row: crate::MeterRow) -> Self {
         TenantMeterStatus {
             fingerprint: hex_fp(row.fingerprint),
             requests: row.requests,
@@ -312,6 +317,58 @@ pub struct MeteringStatus {
     pub total_slo_violations: u64,
     /// Per-tenant meters, charged time descending.
     pub tenants: Vec<TenantMeterStatus>,
+}
+
+/// The one rendering of the metering ledger: a totals line and the ranked
+/// "top tenant" table. `granii serve-status`, `granii top`, and
+/// `serve_bench` all print it through here.
+impl fmt::Display for MeteringStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "  metering {} requests | charged {:.2}ms | {:.3e} flops | {:.3e} bytes | sheds {} | slo violations {}",
+            self.total_requests,
+            self.total_charged_ms,
+            self.total_flops,
+            self.total_bytes,
+            self.total_sheds,
+            self.total_slo_violations
+        )?;
+        if self.tenants.is_empty() {
+            return Ok(());
+        }
+        writeln!(
+            f,
+            "           {:<18} {:>6} {:>7} {:>10} {:>6} {:>8} {:>5} {:>5} {:>5} {:>4}",
+            "top tenant",
+            "reqs",
+            "batched",
+            "charged",
+            "share",
+            "wait",
+            "hit%",
+            "shed",
+            "degr",
+            "slo"
+        )?;
+        for row in &self.tenants {
+            writeln!(
+                f,
+                "           {:<18} {:>6} {:>7} {:>8.2}ms {:>6.2} {:>6.2}ms {:>5.1} {:>5} {:>5} {:>4}",
+                row.fingerprint,
+                row.requests,
+                row.batched_requests,
+                row.charged_ms,
+                row.mean_batch_share,
+                row.mean_queue_wait_ms,
+                row.hit_rate * 100.0,
+                row.sheds,
+                row.degraded,
+                row.slo_violations
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Point-in-time serving snapshot: everything an operator asks first.
@@ -362,7 +419,8 @@ pub struct ServerStatus {
     pub input: Vec<InputSignatureStatus>,
     /// SLO error-budget table, in configured objective order.
     pub slo: Vec<SloObjectiveStatus>,
-    /// Per-outcome latency quantiles from the sketches.
+    /// Per-outcome latency quantiles from the sketches, then the
+    /// whole-server `all` row (their merge).
     pub latency: Vec<LatencySketchStatus>,
     /// Flight-recorder ring and incident-capture health (defaults when
     /// absent — see [`RecorderStatus`]).
@@ -477,48 +535,7 @@ impl fmt::Display for ServerStatus {
                 )?;
             }
         }
-        writeln!(
-            f,
-            "  metering {} requests | charged {:.2}ms | {:.0} flops | {:.0} bytes | sheds {} | slo violations {}",
-            self.metering.total_requests,
-            self.metering.total_charged_ms,
-            self.metering.total_flops,
-            self.metering.total_bytes,
-            self.metering.total_sheds,
-            self.metering.total_slo_violations
-        )?;
-        if !self.metering.tenants.is_empty() {
-            writeln!(
-                f,
-                "           {:<18} {:>6} {:>7} {:>10} {:>6} {:>8} {:>5} {:>5} {:>5} {:>4}",
-                "top tenant",
-                "reqs",
-                "batched",
-                "charged",
-                "share",
-                "wait",
-                "hit%",
-                "shed",
-                "degr",
-                "slo"
-            )?;
-            for row in &self.metering.tenants {
-                writeln!(
-                    f,
-                    "           {:<18} {:>6} {:>7} {:>8.2}ms {:>6.2} {:>6.2}ms {:>5.1} {:>5} {:>5} {:>4}",
-                    row.fingerprint,
-                    row.requests,
-                    row.batched_requests,
-                    row.charged_ms,
-                    row.mean_batch_share,
-                    row.mean_queue_wait_ms,
-                    row.hit_rate * 100.0,
-                    row.sheds,
-                    row.degraded,
-                    row.slo_violations
-                )?;
-            }
-        }
+        write!(f, "{}", self.metering)?;
         if !self.latency.is_empty() {
             writeln!(
                 f,

@@ -130,8 +130,8 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     assert!(bundle.trigger.value > 0.0, "band-L1 delta recorded");
 
     // Recorder health: always-on, nothing dropped at this load.
-    assert!(bundle.recorder.written > 0);
-    assert_eq!(bundle.recorder.dropped, 0);
+    assert!(bundle.status.recorder.written > 0);
+    assert_eq!(bundle.status.recorder.dropped, 0);
 
     // Ring excerpt: the flagging record itself...
     let flag = bundle
@@ -189,11 +189,12 @@ fn input_drift_anomaly_automatically_produces_a_correlated_bundle() {
     );
     assert!(input.avg_degree > 0.0);
 
-    // Merged + per-outcome sketches and the embedded status snapshot.
+    // The embedded status snapshot, with its whole-server latency row.
     assert!(bundle
-        .sketches
+        .status
+        .latency
         .iter()
-        .any(|s| s.name == "serve.latency.all" && s.count > 0));
+        .any(|s| s.outcome == "all" && s.count > 0));
     assert!(bundle.status.completed >= 8, "status captured mid-incident");
     assert!(bundle
         .events

@@ -353,3 +353,29 @@ fn rejected_selection_fails_every_request_of_a_burst_and_serving_continues() {
     assert_eq!(stats.failed, BURST as u64);
     server.shutdown();
 }
+
+#[test]
+fn invalid_layer_shape_fails_after_the_model_plan_is_cached() {
+    // The compiled-plan cache is keyed on (model, hops), so once a valid
+    // GCN request compiled the plan, a k2 = 0 request must still be
+    // rejected with the typed error instead of serving an empty output.
+    let server = Server::start(
+        Arc::new(Granii::with_cost_models(granii().cost_models().clone())),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let graph = tiny(Dataset::CoAuthorsCiteseer);
+    server
+        .process(ServeRequest::new(ModelKind::Gcn, graph.clone(), 64, 128))
+        .expect("a valid GCN request completes");
+    match server.process(ServeRequest::new(ModelKind::Gcn, graph, 64, 0)) {
+        Err(ServeError::Core(_)) => {}
+        other => panic!("expected a core error, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.failed, 1);
+    server.shutdown();
+}
